@@ -3,7 +3,7 @@
 //! DFS router, and topology generation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use emumap_core::{astar_prune, naive_dfs_route, AStarPruneConfig};
+use emumap_core::{astar_prune, naive_dfs_route, AStarPruneConfig, DfsScratch, RouteScratch};
 use emumap_graph::algo::dijkstra;
 use emumap_graph::generators;
 use emumap_model::{
@@ -58,6 +58,7 @@ fn bench_graph_algorithms(c: &mut Criterion) {
             .distances()
             .to_vec();
         group.bench_with_input(BenchmarkId::new("astar_prune", name), &phys, |b, phys| {
+            let mut scratch = RouteScratch::new();
             b.iter(|| {
                 astar_prune(
                     phys,
@@ -68,6 +69,7 @@ fn bench_graph_algorithms(c: &mut Criterion) {
                     Millis(60.0),
                     &ar,
                     &AStarPruneConfig::default(),
+                    &mut scratch,
                 )
                 .expect("path exists")
                 .0
@@ -78,6 +80,7 @@ fn bench_graph_algorithms(c: &mut Criterion) {
         let hops = emumap_core::hop_distances(&phys, dst);
         group.bench_with_input(BenchmarkId::new("naive_dfs", name), &phys, |b, phys| {
             let mut rng = SmallRng::seed_from_u64(1);
+            let mut scratch = DfsScratch::new();
             b.iter(|| {
                 naive_dfs_route(
                     phys,
@@ -88,6 +91,7 @@ fn bench_graph_algorithms(c: &mut Criterion) {
                     Millis(1e9),
                     &hops,
                     &mut rng,
+                    &mut scratch,
                 )
                 .expect("path exists at relaxed latency")
                 .len()

@@ -1,9 +1,7 @@
-//! Micro-benchmark for the allocation-free routing hot paths: the same
-//! A*Prune queries through the allocating entry point (`astar_prune`,
-//! which rebuilds the CSR view and scratch buffers per call) vs. the
-//! reusable one (`astar_prune_with` over a shared CSR + warm
-//! `RouteScratch`), plus the end-to-end HMN map with a cold vs. warm
-//! `MapCache` (cross-trial `ar[]` table reuse).
+//! Micro-benchmark for the allocation-free routing hot paths: a batch of
+//! A*Prune queries through one warm `RouteScratch`, plus the end-to-end
+//! HMN map with a cold vs. warm `MapCache` (cross-trial `ar[]` table
+//! reuse).
 //!
 //! Uses a hand-written `main` instead of `criterion_main!` so the sample
 //! summaries stay readable afterwards and can be written to
@@ -12,9 +10,7 @@
 use criterion::{BenchmarkId, Criterion};
 use emumap_bench::parallel::ParallelRunner;
 use emumap_bench::report::{write_bench_json, BenchEntry, PhaseBreakdown};
-use emumap_core::{
-    astar_prune, astar_prune_with, AStarPruneConfig, ArTables, Hmn, MapCache, Mapper, RouteScratch,
-};
+use emumap_core::{astar_prune, AStarPruneConfig, ArTables, Hmn, MapCache, Mapper, RouteScratch};
 use emumap_model::{Kbps, Millis, ResidualState};
 use emumap_trace::{NullSink, Tracer};
 use emumap_workloads::{instantiate, ClusterSpec, Scenario, WorkloadKind};
@@ -34,9 +30,9 @@ fn bench_routing_scratch(c: &mut Criterion) {
     let hosts = phys.hosts().to_vec();
 
     // A fixed batch of host-pair queries at several strides around the
-    // torus, so path lengths vary. Both variants share the same `ar[]`
-    // tables (table reuse is what the end-to-end pair measures); this
-    // pair isolates the per-search allocation cost.
+    // torus, so path lengths vary. The `ar[]` tables are built up front
+    // (table reuse is what the end-to-end pair measures), so this arm
+    // times the searches alone.
     let mut tables = ArTables::new();
     tables.prepare(phys);
     let mut queries: Vec<(usize, usize)> = Vec::new();
@@ -58,24 +54,6 @@ fn bench_routing_scratch(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(3));
 
-    group.bench_with_input(
-        BenchmarkId::from_parameter("astar_fresh_alloc"),
-        &queries,
-        |b, queries| {
-            b.iter(|| {
-                let mut routed = 0usize;
-                for &(i, j) in queries {
-                    let found = astar_prune(
-                        phys, &residual, hosts[i], hosts[j], demand, bound, &ar[j], &config,
-                    );
-                    routed += usize::from(found.is_some());
-                }
-                routed
-            })
-        },
-    );
-
-    let csr = phys.graph().to_csr();
     let mut scratch = RouteScratch::new();
     group.bench_with_input(
         BenchmarkId::from_parameter("astar_reused_scratch"),
@@ -84,7 +62,7 @@ fn bench_routing_scratch(c: &mut Criterion) {
             b.iter(|| {
                 let mut routed = 0usize;
                 for &(i, j) in queries {
-                    let found = astar_prune_with(
+                    let found = astar_prune(
                         phys,
                         &residual,
                         hosts[i],
@@ -93,7 +71,6 @@ fn bench_routing_scratch(c: &mut Criterion) {
                         bound,
                         &ar[j],
                         &config,
-                        &csr,
                         &mut scratch,
                     );
                     routed += usize::from(found.is_some());

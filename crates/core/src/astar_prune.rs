@@ -22,7 +22,7 @@
 //! Partial paths are stored in an arena (parent-pointer tree) so expanding
 //! a path is O(1) in memory instead of cloning edge vectors.
 
-use emumap_graph::{CsrAdjacency, EdgeId, NodeId};
+use emumap_graph::{EdgeId, NodeId};
 use emumap_model::{Kbps, Millis, PhysicalTopology, ResidualState};
 use std::collections::BinaryHeap;
 
@@ -147,7 +147,7 @@ fn make_key(metric: PathMetric, bottleneck: f64, latency: f64, hops: u32, seq: u
     }
 }
 
-/// Reusable buffers for [`astar_prune_with`]: the partial-path arena, the
+/// Reusable buffers for [`astar_prune`]: the partial-path arena, the
 /// candidate heap, and the on-path scratch.
 ///
 /// One search of a paper-scale instance pushes thousands of arena nodes and
@@ -209,10 +209,10 @@ impl RouteScratch {
 /// destination. Only consulted when
 /// [`AStarPruneConfig::use_latency_lower_bound`] is set.
 ///
-/// Convenience wrapper over [`astar_prune_with`] that builds a fresh
-/// [`CsrAdjacency`] and [`RouteScratch`] per call; hot paths (the
-/// Networking stage, the parallel runner) hold both in an
-/// [`emumap-core::MapCache`](crate::MapCache) instead.
+/// `scratch` holds the search buffers; hot paths (the Networking stage,
+/// the parallel runner) keep one per worker in a
+/// [`MapCache`](crate::MapCache). Buffers are cleared on entry, so the
+/// result is the same for any scratch history.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's Algorithm 1 signature
 pub fn astar_prune(
     phys: &PhysicalTopology,
@@ -223,37 +223,6 @@ pub fn astar_prune(
     latency_bound: Millis,
     ar: &[f64],
     config: &AStarPruneConfig,
-) -> Option<(Vec<EdgeId>, SearchStats)> {
-    let csr = phys.graph().to_csr();
-    astar_prune_with(
-        phys,
-        residual,
-        origin,
-        destination,
-        demand,
-        latency_bound,
-        ar,
-        config,
-        &csr,
-        &mut RouteScratch::new(),
-    )
-}
-
-/// [`astar_prune`] with caller-owned adjacency snapshot and scratch
-/// buffers — the allocation-free entry point. Identical results to the
-/// wrapper for any scratch state: buffers are cleared on entry, so the
-/// search is a pure function of the other arguments.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's Algorithm 1 signature
-pub fn astar_prune_with(
-    phys: &PhysicalTopology,
-    residual: &ResidualState,
-    origin: NodeId,
-    destination: NodeId,
-    demand: Kbps,
-    latency_bound: Millis,
-    ar: &[f64],
-    config: &AStarPruneConfig,
-    csr: &CsrAdjacency,
     scratch: &mut RouteScratch,
 ) -> Option<(Vec<EdgeId>, SearchStats)> {
     let mut stats = SearchStats::default();
@@ -269,6 +238,7 @@ pub fn astar_prune_with(
         return None;
     }
 
+    let csr = phys.graph().csr();
     scratch.begin();
     let RouteScratch {
         arena,
@@ -437,15 +407,16 @@ mod tests {
             Millis(bound),
             &ar,
             &AStarPruneConfig::default(),
+            &mut RouteScratch::new(),
         )
         .map(|(p, _)| p)
     }
 
     #[test]
     fn reused_scratch_matches_fresh_search() {
-        // Run a batch of distinct queries twice: once through the
-        // allocate-per-call wrapper, once through one shared scratch + CSR.
-        // Results must be bit-identical regardless of scratch history.
+        // Run a batch of distinct queries twice: once on a fresh scratch,
+        // once through one shared scratch. Results must be bit-identical
+        // regardless of scratch history.
         let phys = phys_from_edges(
             5,
             &[
@@ -458,7 +429,6 @@ mod tests {
             ],
         );
         let residual = ResidualState::new(&phys);
-        let csr = phys.graph().to_csr();
         let mut scratch = RouteScratch::new();
         let config = AStarPruneConfig::default();
         let queries = [
@@ -479,8 +449,9 @@ mod tests {
                 Millis(bound),
                 &ar,
                 &config,
+                &mut RouteScratch::new(),
             );
-            let reused = astar_prune_with(
+            let reused = astar_prune(
                 &phys,
                 &residual,
                 phys.hosts()[from],
@@ -489,7 +460,6 @@ mod tests {
                 Millis(bound),
                 &ar,
                 &config,
-                &csr,
                 &mut scratch,
             );
             assert_eq!(fresh, reused);
@@ -565,6 +535,7 @@ mod tests {
             Millis(100.0),
             &ar,
             &AStarPruneConfig::default(),
+            &mut RouteScratch::new(),
         )
         .is_none());
         // 30 kbps does.
@@ -577,6 +548,7 @@ mod tests {
             Millis(100.0),
             &ar,
             &AStarPruneConfig::default(),
+            &mut RouteScratch::new(),
         )
         .is_some());
     }
@@ -602,6 +574,7 @@ mod tests {
             Millis(60.0),
             &ar,
             &AStarPruneConfig::default(),
+            &mut RouteScratch::new(),
         )
         .unwrap();
         // Walk the path, ensuring no repeated node and correct endpoints.
@@ -637,6 +610,7 @@ mod tests {
             Millis(100.0),
             &ar,
             &cfg,
+            &mut RouteScratch::new(),
         )
         .unwrap();
         assert_eq!(path.len(), 1, "hop-count metric takes the direct edge");
@@ -668,6 +642,7 @@ mod tests {
             Millis(30.0),
             &ar,
             &with_bound,
+            &mut RouteScratch::new(),
         )
         .unwrap();
         let (_, s2) = astar_prune(
@@ -679,6 +654,7 @@ mod tests {
             Millis(30.0),
             &ar,
             &without_bound,
+            &mut RouteScratch::new(),
         )
         .unwrap();
         assert!(
@@ -714,6 +690,7 @@ mod tests {
             Millis(60.0),
             &ar,
             &cfg,
+            &mut RouteScratch::new(),
         )
         .is_none());
     }
@@ -740,6 +717,7 @@ mod tests {
             Millis(60.0),
             &ar,
             &cfg,
+            &mut RouteScratch::new(),
         );
         let b = astar_prune(
             &phys,
@@ -750,6 +728,7 @@ mod tests {
             Millis(60.0),
             &ar,
             &cfg,
+            &mut RouteScratch::new(),
         );
         assert_eq!(a.map(|(p, _)| p), b.map(|(p, _)| p));
     }
@@ -795,6 +774,7 @@ mod tests {
                 Millis(bound),
                 &ar,
                 &exhaustive_cfg,
+                &mut RouteScratch::new(),
             )
             .expect("exhaustive search finds a path");
             let (pruned, pruned_stats) = astar_prune(
@@ -806,6 +786,7 @@ mod tests {
                 Millis(bound),
                 &ar,
                 &pruned_cfg,
+                &mut RouteScratch::new(),
             )
             .expect("pruned search finds a path");
             assert_eq!(
@@ -833,7 +814,6 @@ mod tests {
             prune_dominated: true,
             ..Default::default()
         };
-        let csr = phys.graph().to_csr();
         let mut warm = RouteScratch::new();
         for (from, to, bound) in [(0usize, 12usize, 50.0), (4, 20, 60.0), (2, 17, 45.0)] {
             let dest = phys.hosts()[to];
@@ -848,8 +828,9 @@ mod tests {
                 Millis(bound),
                 &ar,
                 &cfg,
+                &mut RouteScratch::new(),
             );
-            let reused = astar_prune_with(
+            let reused = astar_prune(
                 &phys,
                 &residual,
                 origin,
@@ -858,7 +839,6 @@ mod tests {
                 Millis(bound),
                 &ar,
                 &cfg,
-                &csr,
                 &mut warm,
             );
             assert_eq!(fresh, reused);

@@ -21,7 +21,7 @@
 
 use crate::astar_prune::RouteScratch;
 use crate::dfs_routing::DfsScratch;
-use emumap_graph::algo::dijkstra_csr;
+use emumap_graph::algo::dijkstra;
 use emumap_graph::{CsrAdjacency, NodeId};
 use emumap_model::{GuestId, PhysicalTopology};
 use emumap_trace::Tracer;
@@ -49,8 +49,7 @@ fn topology_fingerprint(phys: &PhysicalTopology) -> u64 {
     h
 }
 
-/// Topology-lifetime cache of per-destination Dijkstra tables plus the CSR
-/// adjacency snapshot the searches iterate.
+/// Topology-lifetime cache of per-destination Dijkstra tables.
 ///
 /// Two table families are kept:
 ///
@@ -72,7 +71,6 @@ pub struct ArTables {
     generation: u64,
     fingerprint: u64,
     prepared: bool,
-    csr: CsrAdjacency,
     ar: HashMap<NodeId, Vec<f64>>,
     hops: HashMap<NodeId, Vec<f64>>,
     dijkstra_runs: usize,
@@ -80,14 +78,14 @@ pub struct ArTables {
 }
 
 impl ArTables {
-    /// Empty cache; first [`prepare`](Self::prepare) populates the CSR view.
+    /// Empty cache; first [`prepare`](Self::prepare) binds it to a topology.
     pub fn new() -> Self {
         ArTables::default()
     }
 
-    /// Binds the cache to `phys`, rebuilding the CSR snapshot and dropping
-    /// all tables if the topology changed since the last call. Returns
-    /// `true` when the cached tables were kept (same topology).
+    /// Binds the cache to `phys`, dropping all tables if the topology
+    /// changed since the last call. Returns `true` when the cached tables
+    /// were kept (same topology).
     pub fn prepare(&mut self, phys: &PhysicalTopology) -> bool {
         // O(1) fast path: same topology value (or a clone of it) as last
         // time. Every trial of a benchmark sweep after the first takes
@@ -105,29 +103,35 @@ impl ArTables {
         self.generation = phys.generation();
         self.fingerprint = fp;
         self.prepared = true;
-        self.csr = phys.graph().to_csr();
         self.ar.clear();
         self.hops.clear();
         false
     }
 
-    /// The latency `ar[]` table rooted at `dest` together with the CSR
-    /// snapshot, both under one borrow (callers need them simultaneously
-    /// for [`astar_prune_with`](crate::astar_prune_with)).
+    /// The latency `ar[]` table rooted at `dest`, together with the
+    /// topology's adjacency (the two inputs of
+    /// [`astar_prune`](crate::astar_prune)).
     ///
     /// Must be called after [`prepare`](Self::prepare) on the same `phys`.
-    pub fn ar_and_csr(&mut self, phys: &PhysicalTopology, dest: NodeId) -> (&[f64], &CsrAdjacency) {
+    pub fn ar_and_csr<'a>(
+        &'a mut self,
+        phys: &'a PhysicalTopology,
+        dest: NodeId,
+    ) -> (&'a [f64], &'a CsrAdjacency) {
         debug_assert!(self.prepared, "call ArTables::prepare first");
         if !self.ar.contains_key(&dest) {
             self.dijkstra_runs += 1;
-            let table = dijkstra_csr(phys.graph(), &self.csr, dest, |_, link| link.lat.value())
+            let table = dijkstra(phys.graph(), dest, |_, link| link.lat.value())
                 .distances()
                 .to_vec();
             self.ar.insert(dest, table);
         } else {
             self.hits += 1;
         }
-        (self.ar.get(&dest).expect("just inserted"), &self.csr)
+        (
+            self.ar.get(&dest).expect("just inserted"),
+            phys.graph().csr(),
+        )
     }
 
     /// Unit-cost hop-count table rooted at `dest` (the DFS neighbor-order
@@ -137,7 +141,7 @@ impl ArTables {
         debug_assert!(self.prepared, "call ArTables::prepare first");
         if !self.hops.contains_key(&dest) {
             self.dijkstra_runs += 1;
-            let table = dijkstra_csr(phys.graph(), &self.csr, dest, |_, _| 1.0)
+            let table = dijkstra(phys.graph(), dest, |_, _| 1.0)
                 .distances()
                 .to_vec();
             self.hops.insert(dest, table);
@@ -145,31 +149,6 @@ impl ArTables {
             self.hits += 1;
         }
         self.hops.get(&dest).expect("just inserted")
-    }
-
-    /// Like [`hops`](Self::hops) but also hands back the CSR snapshot
-    /// under the same borrow (the DFS baselines route through it).
-    pub fn hops_and_csr(
-        &mut self,
-        phys: &PhysicalTopology,
-        dest: NodeId,
-    ) -> (&[f64], &CsrAdjacency) {
-        debug_assert!(self.prepared, "call ArTables::prepare first");
-        if !self.hops.contains_key(&dest) {
-            self.dijkstra_runs += 1;
-            let table = dijkstra_csr(phys.graph(), &self.csr, dest, |_, _| 1.0)
-                .distances()
-                .to_vec();
-            self.hops.insert(dest, table);
-        } else {
-            self.hits += 1;
-        }
-        (self.hops.get(&dest).expect("just inserted"), &self.csr)
-    }
-
-    /// The CSR adjacency snapshot of the prepared topology.
-    pub fn csr(&self) -> &CsrAdjacency {
-        &self.csr
     }
 
     /// Total Dijkstra runs since construction (both table families).
@@ -302,7 +281,7 @@ impl RoundingScratch {
 /// thread-count-invariance argument (DESIGN.md §5.7).
 #[derive(Debug, Default)]
 pub struct MapCache {
-    /// Cross-trial Dijkstra tables + CSR adjacency.
+    /// Cross-trial Dijkstra tables.
     pub topo: ArTables,
     /// A\*Prune arena/heap/on-path buffers.
     pub scratch: RouteScratch,

@@ -31,7 +31,7 @@
 //! EXPERIMENTS.md).
 
 use emumap_graph::algo::dijkstra;
-use emumap_graph::{CsrAdjacency, EdgeId, NodeId};
+use emumap_graph::{EdgeId, NodeId};
 use emumap_model::{Kbps, Millis, PhysicalTopology, ResidualState};
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
@@ -49,28 +49,29 @@ pub fn hop_distances(phys: &PhysicalTopology, destination: NodeId) -> Vec<f64> {
         .to_vec()
 }
 
-/// One level of the DFS stack: a node plus its (shuffled, possibly
-/// distance-sorted) neighbor list and a cursor into it.
+/// One level of the DFS stack: a node and a cursor into its (shuffled,
+/// possibly distance-sorted) neighbor list. Lists live on one shared
+/// entry stack; while a frame is the top one, its list runs from `start`
+/// to the top of that stack.
 #[derive(Debug)]
 struct Frame {
     node: NodeId,
-    neighbors: Vec<(NodeId, EdgeId)>,
+    start: usize,
     next: usize,
 }
 
-/// Reusable buffers for [`naive_dfs_route_with`]: the visited bitmap, the
-/// frame stack, and a pool of recycled neighbor lists.
+/// Reusable buffers for [`naive_dfs_route`]: the visited bitmap, the
+/// frame stack, and the neighbor-entry stack the frames share.
 ///
-/// The per-call cost of the baseline router is dominated by one neighbor
-/// `Vec` allocation per expanded node; the pool hands frames their list
-/// back from earlier searches instead. Purely an allocation cache — the
-/// search consumes the RNG and visits nodes in exactly the same order as
-/// the scratch-free wrapper, so results are bit-identical.
+/// Without them the baseline router would allocate one neighbor list per
+/// expanded node. Purely an allocation cache — the search consumes the RNG
+/// and visits nodes in exactly the same order whatever the scratch's
+/// history, so results are bit-identical.
 #[derive(Debug, Default)]
 pub struct DfsScratch {
     on_path: Vec<bool>,
     frames: Vec<Frame>,
-    spare: Vec<Vec<(NodeId, EdgeId)>>,
+    entries: Vec<(NodeId, EdgeId)>,
     warm: bool,
     reuses: usize,
     backtracks: usize,
@@ -95,8 +96,7 @@ impl DfsScratch {
         self.backtracks
     }
 
-    /// Resets the visited bitmap for an `n`-node graph and recycles any
-    /// leftover frames into the spare pool.
+    /// Resets the buffers for a search on an `n`-node graph.
     fn begin(&mut self, n: usize) {
         if self.warm {
             self.reuses += 1;
@@ -104,15 +104,8 @@ impl DfsScratch {
         self.warm = true;
         self.on_path.clear();
         self.on_path.resize(n, false);
-        for mut f in self.frames.drain(..) {
-            f.neighbors.clear();
-            self.spare.push(f.neighbors);
-        }
-    }
-
-    /// An empty neighbor buffer, reusing a pooled one when available.
-    fn neighbor_buf(&mut self) -> Vec<(NodeId, EdgeId)> {
-        self.spare.pop().unwrap_or_default()
+        self.frames.clear();
+        self.entries.clear();
     }
 }
 
@@ -124,9 +117,8 @@ impl DfsScratch {
 /// defining weakness versus A\*Prune.
 ///
 /// `hops_to_dest` must come from [`hop_distances`] for this destination.
-///
-/// Convenience wrapper over [`naive_dfs_route_with`] allocating a fresh
-/// [`DfsScratch`] per call.
+/// `scratch` holds the search buffers; the path and the RNG consumption
+/// are the same for any scratch history.
 #[allow(clippy::too_many_arguments)] // mirrors the astar_prune signature
 pub fn naive_dfs_route(
     phys: &PhysicalTopology,
@@ -137,99 +129,7 @@ pub fn naive_dfs_route(
     latency_bound: Millis,
     hops_to_dest: &[f64],
     rng: &mut dyn RngCore,
-) -> Option<Vec<EdgeId>> {
-    naive_dfs_route_with(
-        phys,
-        residual,
-        origin,
-        destination,
-        demand,
-        latency_bound,
-        hops_to_dest,
-        rng,
-        &mut DfsScratch::new(),
-    )
-}
-
-/// [`naive_dfs_route`] with caller-owned scratch buffers — the
-/// allocation-free entry point. Bit-identical results (and RNG
-/// consumption) for any scratch history.
-#[allow(clippy::too_many_arguments)] // mirrors the astar_prune signature
-pub fn naive_dfs_route_with(
-    phys: &PhysicalTopology,
-    residual: &ResidualState,
-    origin: NodeId,
-    destination: NodeId,
-    demand: Kbps,
-    latency_bound: Millis,
-    hops_to_dest: &[f64],
-    rng: &mut dyn RngCore,
     scratch: &mut DfsScratch,
-) -> Option<Vec<EdgeId>> {
-    let graph = phys.graph();
-    dfs_route_impl(
-        phys,
-        residual,
-        origin,
-        destination,
-        demand,
-        latency_bound,
-        hops_to_dest,
-        rng,
-        scratch,
-        |buf, node| buf.extend(graph.neighbors(node).map(|nb| (nb.node, nb.edge))),
-    )
-}
-
-/// [`naive_dfs_route_with`] iterating neighbors through a pre-built
-/// [`CsrAdjacency`] snapshot of the physical graph (e.g. the one cached in
-/// `ArTables`). The snapshot preserves `Graph::neighbors` order, so the
-/// RNG stream and the returned path are bit-identical to the edge-list
-/// entry points — both stay public so the equivalence is property-testable.
-#[allow(clippy::too_many_arguments)] // mirrors the astar_prune signature
-pub fn naive_dfs_route_csr(
-    phys: &PhysicalTopology,
-    csr: &CsrAdjacency,
-    residual: &ResidualState,
-    origin: NodeId,
-    destination: NodeId,
-    demand: Kbps,
-    latency_bound: Millis,
-    hops_to_dest: &[f64],
-    rng: &mut dyn RngCore,
-    scratch: &mut DfsScratch,
-) -> Option<Vec<EdgeId>> {
-    debug_assert_eq!(csr.node_count(), phys.graph().node_count());
-    dfs_route_impl(
-        phys,
-        residual,
-        origin,
-        destination,
-        demand,
-        latency_bound,
-        hops_to_dest,
-        rng,
-        scratch,
-        |buf, node| buf.extend(csr.neighbors(node).iter().map(|nb| (nb.node, nb.edge))),
-    )
-}
-
-/// Shared walk over a pluggable raw-neighbor source. `fill_raw` appends
-/// `(neighbor, edge)` pairs for a node in the graph's canonical neighbor
-/// order; shuffling and distance-sorting happen here so every source
-/// consumes the RNG identically.
-#[allow(clippy::too_many_arguments)]
-fn dfs_route_impl(
-    phys: &PhysicalTopology,
-    residual: &ResidualState,
-    origin: NodeId,
-    destination: NodeId,
-    demand: Kbps,
-    latency_bound: Millis,
-    hops_to_dest: &[f64],
-    rng: &mut dyn RngCore,
-    scratch: &mut DfsScratch,
-    fill_raw: impl Fn(&mut Vec<(NodeId, EdgeId)>, NodeId),
 ) -> Option<Vec<EdgeId>> {
     if origin == destination {
         return Some(Vec::new());
@@ -238,32 +138,35 @@ fn dfs_route_impl(
     let want = demand.value();
     scratch.begin(graph.node_count());
 
-    let fill_neighbors = |buf: &mut Vec<(NodeId, EdgeId)>, node: NodeId, rng: &mut dyn RngCore| {
-        buf.clear();
-        fill_raw(buf, node);
-        buf.shuffle(rng); // random tie-breaking baseline order
+    // Enters `node`: marks it on the path and pushes its frame, with its
+    // neighbor list on top of the entry stack.
+    let enter = |scratch: &mut DfsScratch, node: NodeId, rng: &mut dyn RngCore| {
+        scratch.on_path[node.index()] = true;
+        let start = scratch.entries.len();
+        let neighbors = graph.neighbors(node).iter();
+        scratch
+            .entries
+            .extend(neighbors.map(|nb| (nb.node, nb.edge)));
+        let list = &mut scratch.entries[start..];
+        list.shuffle(rng); // random tie-breaking baseline order
         if rng.gen::<f64>() >= WANDER_PROBABILITY {
             // Mostly: head toward the destination (stable sort keeps the
             // shuffled order within equal distances).
-            buf.sort_by(|a, b| hops_to_dest[a.0.index()].total_cmp(&hops_to_dest[b.0.index()]));
+            list.sort_by(|a, b| hops_to_dest[a.0.index()].total_cmp(&hops_to_dest[b.0.index()]));
         }
+        scratch.frames.push(Frame {
+            node,
+            start,
+            next: start,
+        });
     };
 
-    scratch.on_path[origin.index()] = true;
     let mut edges: Vec<EdgeId> = Vec::new();
-    let mut root = scratch.neighbor_buf();
-    fill_neighbors(&mut root, origin, rng);
-    scratch.frames.push(Frame {
-        node: origin,
-        neighbors: root,
-        next: 0,
-    });
-
+    enter(scratch, origin, rng);
     while let Some(frame) = scratch.frames.last_mut() {
         let mut pushed: Option<NodeId> = None;
-        let mut advanced = false;
-        while frame.next < frame.neighbors.len() {
-            let (node, edge) = frame.neighbors[frame.next];
+        while frame.next < scratch.entries.len() {
+            let (node, edge) = scratch.entries[frame.next];
             frame.next += 1;
             if scratch.on_path[node.index()] {
                 continue;
@@ -282,25 +185,15 @@ fn dfs_route_impl(
                 return None;
             }
             pushed = Some(node);
-            advanced = true;
             break;
         }
-        if advanced {
-            let node = pushed.expect("advanced implies a pushed node");
-            scratch.on_path[node.index()] = true;
-            let mut buf = scratch.neighbor_buf();
-            fill_neighbors(&mut buf, node, rng);
-            scratch.frames.push(Frame {
-                node,
-                neighbors: buf,
-                next: 0,
-            });
+        if let Some(node) = pushed {
+            enter(scratch, node, rng);
         } else {
-            let mut done = scratch.frames.pop().expect("frame exists");
+            let done = scratch.frames.pop().expect("frame exists");
             scratch.on_path[done.node.index()] = false;
+            scratch.entries.truncate(done.start);
             edges.pop();
-            done.neighbors.clear();
-            scratch.spare.push(done.neighbors);
             scratch.backtracks += 1;
         }
     }
@@ -345,6 +238,7 @@ mod tests {
             Millis(bound),
             &hops,
             &mut rng,
+            &mut DfsScratch::new(),
         )
     }
 
@@ -371,8 +265,9 @@ mod tests {
                 Millis(60.0),
                 &hops,
                 &mut rng_a,
+                &mut DfsScratch::new(),
             );
-            let reused = naive_dfs_route_with(
+            let reused = naive_dfs_route(
                 &p,
                 &r,
                 p.hosts()[from],
@@ -391,52 +286,6 @@ mod tests {
             );
         }
         assert!(scratch.reuses() > 0);
-    }
-
-    #[test]
-    fn csr_variant_matches_edge_list_variant() {
-        let p = phys(&generators::torus2d(4, 4), 1000.0);
-        let r = ResidualState::new(&p);
-        let csr = p.graph().to_csr();
-        let mut scratch_a = DfsScratch::new();
-        let mut scratch_b = DfsScratch::new();
-        for seed in 0..40u64 {
-            let from = (seed as usize * 5) % 16;
-            let to = (seed as usize * 11 + 3) % 16;
-            let dst = p.hosts()[to];
-            let hops = hop_distances(&p, dst);
-            let mut rng_a = SmallRng::seed_from_u64(seed);
-            let mut rng_b = SmallRng::seed_from_u64(seed);
-            let via_list = naive_dfs_route_with(
-                &p,
-                &r,
-                p.hosts()[from],
-                dst,
-                Kbps(10.0),
-                Millis(60.0),
-                &hops,
-                &mut rng_a,
-                &mut scratch_a,
-            );
-            let via_csr = naive_dfs_route_csr(
-                &p,
-                &csr,
-                &r,
-                p.hosts()[from],
-                dst,
-                Kbps(10.0),
-                Millis(60.0),
-                &hops,
-                &mut rng_b,
-                &mut scratch_b,
-            );
-            assert_eq!(via_list, via_csr, "seed {seed}");
-            assert_eq!(
-                rng_a.gen::<u64>(),
-                rng_b.gen::<u64>(),
-                "seed {seed}: RNG streams diverged"
-            );
-        }
     }
 
     #[test]
@@ -540,7 +389,7 @@ mod tests {
         let dst = p.hosts()[2];
         let hops = hop_distances(&p, dst);
         let mut rng = SmallRng::seed_from_u64(7);
-        let res = naive_dfs_route_with(
+        let res = naive_dfs_route(
             &p,
             &r,
             p.hosts()[0],

@@ -19,7 +19,7 @@ use crate::mapper::{MapOutcome, MapStats, Mapper};
 use crate::migration::migration_stage;
 use crate::networking::NetworkingStats;
 use crate::state::PlacementState;
-use emumap_graph::algo::k_shortest_paths_csr;
+use emumap_graph::algo::k_shortest_paths;
 use emumap_model::{Mapping, PhysicalTopology, Route, VLinkId, VirtualEnvironment};
 use emumap_trace::{Phase, PhaseCounters, TraceEvent};
 use rand::RngCore;
@@ -76,7 +76,7 @@ pub fn networking_stage_ksp_with(
             continue;
         }
         let spec = *venv.link(l);
-        let (ar, csr) = topo.ar_and_csr(phys, hd);
+        let (ar, _) = topo.ar_and_csr(phys, hd);
         if ar[hs.index()] > spec.lat.value() + 1e-9 {
             // The early-exit carries its own proof: the Dijkstra distance
             // is the best achievable latency over all paths.
@@ -92,11 +92,8 @@ pub fn networking_stage_ksp_with(
         }
         // Note: candidate paths are recomputed per link on the *static*
         // latency metric; feasibility is then checked against the current
-        // residuals, so commitments by earlier links are respected. The
-        // cached CSR snapshot spares Yen's algorithm an O(V + E) adjacency
-        // rebuild per link.
-        let candidates =
-            k_shortest_paths_csr(phys.graph(), csr, hs, hd, k, |_, link| link.lat.value());
+        // residuals, so commitments by earlier links are respected.
+        let candidates = k_shortest_paths(phys.graph(), hs, hd, k, |_, link| link.lat.value());
         let chosen = candidates.into_iter().find(|p| {
             p.cost <= spec.lat.value() + 1e-9 && state.residual().route_feasible(&p.edges, spec.bw)
         });

@@ -84,15 +84,10 @@ mod state;
 pub mod tempering;
 
 pub use annealing::{Annealing, AnnealingConfig};
-pub use astar_prune::{
-    astar_prune, astar_prune_with, AStarPruneConfig, PathMetric, RouteScratch, SearchStats,
-};
+pub use astar_prune::{astar_prune, AStarPruneConfig, PathMetric, RouteScratch, SearchStats};
 pub use cache::{AnnealScratch, ArTables, MapCache, RoundingScratch};
 pub use consolidation::{drain_stage, ConsolidatingHmn, DrainStats};
-pub use dfs_routing::{
-    hop_distances, naive_dfs_route, naive_dfs_route_csr, naive_dfs_route_with, DfsScratch,
-    WANDER_PROBABILITY,
-};
+pub use dfs_routing::{hop_distances, naive_dfs_route, DfsScratch, WANDER_PROBABILITY};
 pub use diagnostics::{
     cluster_diagnostics, diagnose_route, residual_max_flow, ClusterDiagnostics, RouteVerdict,
 };

@@ -7,7 +7,7 @@
 //! share a host are "handled inside the host" and never routed — §5.2
 //! credits this for the Figure 1 variance.
 
-use crate::astar_prune::{astar_prune_with, AStarPruneConfig, SearchStats};
+use crate::astar_prune::{astar_prune, AStarPruneConfig, SearchStats};
 use crate::cache::MapCache;
 use crate::diagnostics::diagnose_route;
 use crate::error::MapError;
@@ -94,8 +94,8 @@ pub fn networking_stage_with(
             continue; // routes[l] stays intra-host
         }
         let spec = *venv.link(l);
-        let (ar, csr) = topo.ar_and_csr(phys, hd);
-        let Some((edges, search)) = astar_prune_with(
+        let (ar, _) = topo.ar_and_csr(phys, hd);
+        let Some((edges, search)) = astar_prune(
             phys,
             state.residual(),
             hs,
@@ -104,7 +104,6 @@ pub fn networking_stage_with(
             spec.lat,
             ar,
             config,
-            csr,
             scratch,
         ) else {
             // The diagnosis (Dijkstra + max-flow) is expensive, so it runs

@@ -26,7 +26,7 @@
 
 use crate::astar_prune::AStarPruneConfig;
 use crate::cache::MapCache;
-use crate::dfs_routing::naive_dfs_route_csr;
+use crate::dfs_routing::naive_dfs_route;
 use crate::error::MapError;
 use crate::hosting::{hosting_stage, links_by_descending_bw};
 use crate::mapper::{MapOutcome, MapStats, Mapper};
@@ -108,10 +108,9 @@ fn dfs_routing(
             continue;
         }
         let spec = *venv.link(l);
-        let (hops, csr) = topo.hops_and_csr(phys, hd);
-        match naive_dfs_route_csr(
+        let hops = topo.hops(phys, hd);
+        match naive_dfs_route(
             phys,
-            csr,
             state.residual(),
             hs,
             hd,

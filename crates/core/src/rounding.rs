@@ -49,7 +49,7 @@ use crate::migration::{migration_stage, migration_stage_exhaustive, MigrationPol
 use crate::networking::networking_stage_with;
 use crate::random::DEFAULT_MAX_ATTEMPTS;
 use crate::state::PlacementState;
-use emumap_graph::algo::dijkstra_csr;
+use emumap_graph::algo::dijkstra;
 use emumap_model::{Mapping, PhysicalTopology, VirtualEnvironment};
 use emumap_trace::{Phase, PhaseCounters, TraceEvent};
 use rand::{Rng, RngCore};
@@ -220,7 +220,7 @@ fn solve_fractional(
                 continue;
             }
             let prices = &rs.edge_prices;
-            let result = dijkstra_csr(graph, topo.csr(), hosts[hi], |e, link| {
+            let result = dijkstra(graph, hosts[hi], |e, link| {
                 link.lat.value().max(LAT_EPSILON) * prices[e.index()]
             });
             dmax = result
@@ -283,7 +283,7 @@ fn solve_fractional(
                 // host's relative congestion price.
                 rs.cost_row[hi] = rs.fit_cost[gi * nh + hi] * (rs.host_prices[hi] / hp_max);
             }
-            for nb in venv.links_of(g) {
+            for nb in venv.graph().neighbors(g) {
                 if nb.node == g {
                     continue; // self-loops never need a physical path
                 }

@@ -223,7 +223,8 @@ impl<'a> PlacementState<'a> {
             return Kbps::ZERO;
         };
         self.venv
-            .links_of(guest)
+            .graph()
+            .neighbors(guest)
             .iter()
             .filter(|nb| nb.node != guest) // ignore self-loops
             .filter(|nb| self.assignment[nb.node.index()] == Some(host))
@@ -258,7 +259,7 @@ impl<'a> PlacementState<'a> {
         }
         self.delta_evals.set(self.delta_evals.get() + 1);
         let mut delta = 0.0;
-        for nb in self.venv.links_of(guest) {
+        for nb in self.venv.graph().neighbors(guest) {
             if nb.node == guest {
                 continue; // self-loops are never routed
             }

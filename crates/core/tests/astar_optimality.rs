@@ -4,7 +4,7 @@
 //! bandwidth is maximal (the paper's widest-path selection rule), subject
 //! to both constraints.
 
-use emumap_core::{astar_prune, AStarPruneConfig};
+use emumap_core::{astar_prune, AStarPruneConfig, RouteScratch};
 use emumap_graph::algo::dijkstra;
 use emumap_graph::generators::random_connected;
 use emumap_graph::{EdgeId, Graph, NodeId};
@@ -41,8 +41,7 @@ fn enumerate_paths(
             visit(edges, lat, bottleneck);
             return;
         }
-        let neighbors: Vec<_> = phys.graph().neighbors(cur).collect();
-        for nb in neighbors {
+        for &nb in phys.graph().neighbors(cur) {
             if on_path.contains(&nb.node) {
                 continue;
             }
@@ -142,6 +141,7 @@ proptest! {
             Millis(bound),
             &ar,
             &AStarPruneConfig::default(),
+            &mut RouteScratch::new(),
         );
 
         match (best, found) {

@@ -5,7 +5,7 @@
 //! paper's Algorithm 1), so the primary entry point computes the full
 //! distance vector; [`dijkstra_path`] additionally reconstructs one path.
 
-use crate::{CsrAdjacency, EdgeId, Graph, NeighborRef, NodeId};
+use crate::{EdgeId, Graph, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -83,46 +83,8 @@ pub fn dijkstra<N, E, F>(graph: &Graph<N, E>, source: NodeId, mut cost: F) -> Di
 where
     F: FnMut(EdgeId, &E) -> f64,
 {
-    dijkstra_core(graph.node_count(), source, |v, relax| {
-        for nb in graph.neighbors(v) {
-            relax(nb, cost(nb.edge, graph.edge(nb.edge)));
-        }
-    })
-}
-
-/// [`dijkstra`] iterating neighbors through a pre-built [`CsrAdjacency`]
-/// snapshot instead of the graph's native per-node adjacency vectors — the
-/// hot-path variant used when many runs share one topology (the `ar[]`
-/// tables of HMN's Networking stage).
-///
-/// `csr` must be a snapshot of `graph` (debug-asserted on node count).
-pub fn dijkstra_csr<N, E, F>(
-    graph: &Graph<N, E>,
-    csr: &CsrAdjacency,
-    source: NodeId,
-    mut cost: F,
-) -> DijkstraResult
-where
-    F: FnMut(EdgeId, &E) -> f64,
-{
-    debug_assert_eq!(
-        csr.node_count(),
-        graph.node_count(),
-        "CSR snapshot does not match this graph"
-    );
-    dijkstra_core(graph.node_count(), source, |v, relax| {
-        for &nb in csr.neighbors(v) {
-            relax(nb, cost(nb.edge, graph.edge(nb.edge)));
-        }
-    })
-}
-
-/// The shared relaxation loop: `neighbors(v, relax)` must call
-/// `relax(neighbor, edge_cost)` once per incident edge of `v`.
-fn dijkstra_core<G>(n: usize, source: NodeId, mut neighbors: G) -> DijkstraResult
-where
-    G: FnMut(NodeId, &mut dyn FnMut(NeighborRef, f64)),
-{
+    let csr = graph.csr();
+    let n = graph.node_count();
     let mut dist = vec![f64::INFINITY; n];
     let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
     // Max-heap of Reverse(OrderedCost) — f64 is not Ord, so store the bit
@@ -138,7 +100,8 @@ where
         if d > dist[v.index()] {
             continue; // stale entry
         }
-        neighbors(v, &mut |nb, w| {
+        for nb in csr.neighbors(v) {
+            let w = cost(nb.edge, graph.edge(nb.edge));
             debug_assert!(
                 w >= 0.0 && w.is_finite(),
                 "dijkstra requires non-negative finite edge costs, got {w}"
@@ -149,7 +112,7 @@ where
                 prev[nb.node.index()] = Some((v, nb.edge));
                 heap.push(Reverse((nd.to_bits(), nb.node.index() as u32)));
             }
-        });
+        }
     }
 
     DijkstraResult { source, dist, prev }
@@ -258,17 +221,6 @@ mod tests {
         g.add_edge(a, b, 2.0);
         let (d, _) = dijkstra_path(&g, a, b, |_, w| *w).unwrap();
         assert_eq!(d, 2.0);
-    }
-
-    #[test]
-    fn csr_variant_matches_native_dijkstra() {
-        let (g, ids) = weighted();
-        let csr = g.to_csr();
-        for &src in &ids {
-            let a = dijkstra(&g, src, |_, w| *w);
-            let b = dijkstra_csr(&g, &csr, src, |_, w| *w);
-            assert_eq!(a.distances(), b.distances());
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! among the K cheapest-by-latency simple paths for large enough K — and
 //! (b) to power the `KspRouting` extension strategy in `emumap-core`.
 
-use crate::{CsrAdjacency, EdgeId, Graph, NodeId};
+use crate::{EdgeId, Graph, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -27,7 +27,6 @@ pub struct CostedPath {
 /// [`CostedPath`], or `None`.
 fn dijkstra_path_filtered<N, E, F>(
     graph: &Graph<N, E>,
-    csr: &CsrAdjacency,
     source: NodeId,
     target: NodeId,
     cost: &mut F,
@@ -37,6 +36,7 @@ fn dijkstra_path_filtered<N, E, F>(
 where
     F: FnMut(EdgeId, &E) -> f64,
 {
+    let csr = graph.csr();
     let n = graph.node_count();
     let mut dist = vec![f64::INFINITY; n];
     let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
@@ -96,30 +96,8 @@ where
 /// Returns up to `k` cheapest simple paths from `source` to `target` in
 /// ascending cost order (Yen's algorithm). Returns fewer than `k` when the
 /// graph has fewer simple paths. Costs must be non-negative.
-///
-/// Builds a one-shot CSR snapshot internally; callers that already hold a
-/// cached [`CsrAdjacency`] for the graph should use
-/// [`k_shortest_paths_csr`] to skip the O(V + E) rebuild per call.
 pub fn k_shortest_paths<N, E, F>(
     graph: &Graph<N, E>,
-    source: NodeId,
-    target: NodeId,
-    k: usize,
-    cost: F,
-) -> Vec<CostedPath>
-where
-    F: FnMut(EdgeId, &E) -> f64,
-{
-    k_shortest_paths_csr(graph, &graph.to_csr(), source, target, k, cost)
-}
-
-/// [`k_shortest_paths`] iterating neighbors through a pre-built
-/// [`CsrAdjacency`] snapshot of `graph`. The snapshot must come from
-/// [`Graph::to_csr`] on this graph (neighbor order matches, so results are
-/// identical to the edge-list path).
-pub fn k_shortest_paths_csr<N, E, F>(
-    graph: &Graph<N, E>,
-    csr: &CsrAdjacency,
     source: NodeId,
     target: NodeId,
     k: usize,
@@ -128,12 +106,10 @@ pub fn k_shortest_paths_csr<N, E, F>(
 where
     F: FnMut(EdgeId, &E) -> f64,
 {
-    debug_assert_eq!(csr.node_count(), graph.node_count());
     if k == 0 {
         return Vec::new();
     }
-    let Some(first) = dijkstra_path_filtered(graph, csr, source, target, &mut cost, &[], &[])
-    else {
+    let Some(first) = dijkstra_path_filtered(graph, source, target, &mut cost, &[], &[]) else {
         return Vec::new();
     };
     let mut accepted: Vec<CostedPath> = vec![first];
@@ -163,7 +139,6 @@ where
 
             if let Some(spur) = dijkstra_path_filtered(
                 graph,
-                csr,
                 spur_node,
                 target,
                 &mut cost,
@@ -291,15 +266,6 @@ mod tests {
         assert_eq!(paths.len(), 2);
         assert_eq!(paths[0].cost, 1.0);
         assert_eq!(paths[1].cost, 2.0);
-    }
-
-    #[test]
-    fn csr_variant_matches_edge_list_entry_point() {
-        let (g, ids) = yen_graph();
-        let csr = g.to_csr();
-        let a = k_shortest_paths(&g, ids[0], ids[5], 10, |_, w| *w);
-        let b = k_shortest_paths_csr(&g, &csr, ids[0], ids[5], 10, |_, w| *w);
-        assert_eq!(a, b);
     }
 
     #[test]

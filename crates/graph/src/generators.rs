@@ -14,6 +14,7 @@ use crate::{Graph, NodeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 
 /// What a topology node is allowed to do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -274,10 +275,16 @@ pub fn random_connected<R: Rng + ?Sized>(n: usize, density: f64, rng: &mut R) ->
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(rng);
     let mut uf = UnionFind::new(n);
+    // Adjacent pairs as (min, max): the dedup set of the sampling below.
+    // Asking the graph instead would rebuild its adjacency after every
+    // added edge.
+    let mut present: HashSet<(usize, usize)> = HashSet::with_capacity(target_edges);
+    let pair = |a: usize, b: usize| (a.min(b), a.max(b));
     for i in 1..n {
         let parent = order[rng.gen_range(0..i)];
         let child = order[i];
         g.add_edge(ids[parent], ids[child], ());
+        present.insert(pair(parent, child));
         uf.union(parent, child);
     }
     debug_assert_eq!(uf.component_count(), 1);
@@ -293,7 +300,7 @@ pub fn random_connected<R: Rng + ?Sized>(n: usize, density: f64, rng: &mut R) ->
         attempts += 1;
         let a = rng.gen_range(0..n);
         let b = rng.gen_range(0..n);
-        if a == b || g.has_edge(ids[a], ids[b]) {
+        if a == b || !present.insert(pair(a, b)) {
             continue;
         }
         g.add_edge(ids[a], ids[b], ());
@@ -304,7 +311,7 @@ pub fn random_connected<R: Rng + ?Sized>(n: usize, density: f64, rng: &mut R) ->
         let mut missing: Vec<(usize, usize)> = Vec::new();
         for a in 0..n {
             for b in (a + 1)..n {
-                if !g.has_edge(ids[a], ids[b]) {
+                if !present.contains(&(a, b)) {
                     missing.push((a, b));
                 }
             }

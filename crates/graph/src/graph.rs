@@ -1,7 +1,8 @@
 //! The core undirected multigraph.
 
 use crate::{EdgeId, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
+use std::sync::OnceLock;
 
 /// One stored edge: its two endpoints and its payload.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -50,20 +51,16 @@ impl<'g, E> EdgeRef<'g, E> {
     }
 }
 
-/// A compact, cache-friendly snapshot of a graph's adjacency in CSR
-/// (compressed sparse row) form: every `(neighbor, edge)` pair lives in one
-/// contiguous array, with per-node offsets into it.
+/// A graph's adjacency in CSR (compressed sparse row) form: every
+/// `(neighbor, edge)` pair lives in one contiguous array, with per-node
+/// offsets into it.
 ///
-/// [`Graph`]'s native adjacency is a `Vec<Vec<_>>` — one heap allocation
-/// per node, scattered across the heap. Hot search loops (A\*Prune,
-/// Dijkstra) iterate neighbor lists millions of times per mapping, so the
-/// CSR view is built once per topology and handed to them: neighbor
-/// iteration becomes a contiguous slice scan with no pointer chasing.
-///
-/// The snapshot is immutable; edges added to the graph afterwards are not
-/// reflected. Callers that cache a `CsrAdjacency` across calls guard it
-/// with a topology fingerprint (see `emumap-core`'s `ArTables`).
-#[derive(Clone, Debug, Default)]
+/// This is the only adjacency a [`Graph`] has. It is derived from the
+/// edge list on first use (see [`Graph::csr`]) and never serialized, so it
+/// cannot contradict the edges. Hot search loops (A\*Prune, Dijkstra)
+/// iterate neighbor lists millions of times per mapping; a neighbor list
+/// is a contiguous slice scan with no pointer chasing.
+#[derive(Clone, Debug)]
 pub struct CsrAdjacency {
     /// `offsets[v]..offsets[v + 1]` indexes `neighbors` for node `v`;
     /// length `node_count + 1`.
@@ -73,14 +70,52 @@ pub struct CsrAdjacency {
 }
 
 impl CsrAdjacency {
-    /// Number of nodes the snapshot covers.
-    #[inline]
-    pub fn node_count(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
+    /// Builds the adjacency of `node_count` nodes from edge endpoints in
+    /// edge-id order. One stable pass: each node lists its incident edges
+    /// in id order, and a self-loop is listed once.
+    fn from_edges<E>(node_count: usize, edges: &[EdgeSlot<E>]) -> Self {
+        assert!(
+            2 * edges.len() <= u32::MAX as usize,
+            "adjacency fits in u32"
+        );
+        let mut offsets = vec![0u32; node_count + 1];
+        for slot in edges {
+            offsets[slot.a.index() + 1] += 1;
+            if slot.a != slot.b {
+                offsets[slot.b.index() + 1] += 1;
+            }
+        }
+        for v in 0..node_count {
+            offsets[v + 1] += offsets[v];
+        }
+        let placeholder = NeighborRef {
+            node: NodeId::from_index(0),
+            edge: EdgeId::from_index(0),
+        };
+        let mut neighbors = vec![placeholder; offsets[node_count] as usize];
+        let mut next: Vec<u32> = offsets[..node_count].to_vec();
+        let mut push = |at: NodeId, node: NodeId, edge: EdgeId| {
+            let slot = &mut next[at.index()];
+            neighbors[*slot as usize] = NeighborRef { node, edge };
+            *slot += 1;
+        };
+        for (i, slot) in edges.iter().enumerate() {
+            let id = EdgeId::from_index(i);
+            push(slot.a, slot.b, id);
+            if slot.a != slot.b {
+                push(slot.b, slot.a, id);
+            }
+        }
+        CsrAdjacency { offsets, neighbors }
     }
 
-    /// Neighbors of `node` as a contiguous slice, in the same order
-    /// [`Graph::neighbors`] yields them.
+    /// Number of nodes the adjacency covers.
+    #[inline]
+    pub fn node_count(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Neighbors of `node` as a contiguous slice, in edge-id order.
     #[inline]
     pub fn neighbors(&self, node: NodeId) -> &[NeighborRef] {
         let i = node.index();
@@ -97,12 +132,62 @@ impl CsrAdjacency {
 /// * Removal is not supported: the mapping workloads only ever *build*
 ///   topologies, and append-only storage keeps ids dense so algorithm
 ///   side-tables can be flat `Vec`s.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+///
+/// Only nodes and edges are stored. The adjacency is a [`CsrAdjacency`]
+/// built from the edges on the first neighbor query after a mutation, so
+/// code that interleaves `add_edge` with neighbor queries rebuilds it each
+/// time; build first, then query. The wire format is the object
+/// `{"nodes": [...], "edges": [{"a", "b", "weight"}, ...]}`; an
+/// `adjacency` key written by older versions is ignored on load.
+#[derive(Clone, Debug)]
 pub struct Graph<N, E> {
     nodes: Vec<N>,
     edges: Vec<EdgeSlot<E>>,
-    /// adjacency[v] = list of (neighbor, edge) pairs incident to v.
-    adjacency: Vec<Vec<(NodeId, EdgeId)>>,
+    csr: OnceLock<CsrAdjacency>,
+}
+
+/// Structural equality on nodes and edges; the lazily built adjacency is
+/// derived from them.
+impl<N: PartialEq, E: PartialEq> PartialEq for Graph<N, E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.nodes == other.nodes && self.edges == other.edges
+    }
+}
+
+impl<N: Serialize, E: Serialize> Serialize for Graph<N, E> {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("nodes".to_string(), self.nodes.to_value()),
+            ("edges".to_string(), self.edges.to_value()),
+        ])
+    }
+}
+
+/// Rejects an edge whose endpoint is not a node, naming the field
+/// (`edges[i].b: node 99 out of range (4 nodes)`), instead of building a
+/// graph that panics on first use.
+impl<N: Deserialize, E: Deserialize> Deserialize for Graph<N, E> {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        let pairs = value.expect_object("Graph")?;
+        let nodes: Vec<N> = serde::__field(pairs, "nodes", "Graph")?;
+        let edges: Vec<EdgeSlot<E>> = serde::__field(pairs, "edges", "Graph")?;
+        for (i, slot) in edges.iter().enumerate() {
+            for (field, end) in [("a", slot.a), ("b", slot.b)] {
+                if end.index() >= nodes.len() {
+                    return Err(DeError::new(format!(
+                        "edges[{i}].{field}: node {} out of range ({} nodes)",
+                        end.index(),
+                        nodes.len()
+                    )));
+                }
+            }
+        }
+        Ok(Graph {
+            nodes,
+            edges,
+            csr: OnceLock::new(),
+        })
+    }
 }
 
 impl<N, E> Default for Graph<N, E> {
@@ -114,11 +199,7 @@ impl<N, E> Default for Graph<N, E> {
 impl<N, E> Graph<N, E> {
     /// Creates an empty graph.
     pub fn new() -> Self {
-        Graph {
-            nodes: Vec::new(),
-            edges: Vec::new(),
-            adjacency: Vec::new(),
-        }
+        Self::with_capacity(0, 0)
     }
 
     /// Creates an empty graph with capacity reserved for `nodes` nodes and
@@ -127,7 +208,7 @@ impl<N, E> Graph<N, E> {
         Graph {
             nodes: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
-            adjacency: Vec::with_capacity(nodes),
+            csr: OnceLock::new(),
         }
     }
 
@@ -135,7 +216,7 @@ impl<N, E> Graph<N, E> {
     pub fn add_node(&mut self, weight: N) -> NodeId {
         let id = NodeId::from_index(self.nodes.len());
         self.nodes.push(weight);
-        self.adjacency.push(Vec::new());
+        self.csr.take();
         id
     }
 
@@ -154,13 +235,9 @@ impl<N, E> Graph<N, E> {
         );
         let id = EdgeId::from_index(self.edges.len());
         self.edges.push(EdgeSlot { a, b, weight });
-        self.adjacency[a.index()].push((b, id));
-        if a != b {
-            self.adjacency[b.index()].push((a, id));
-        }
+        self.csr.take();
         id
     }
-
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -259,29 +336,35 @@ impl<N, E> Graph<N, E> {
         })
     }
 
+    /// The adjacency, built from the edges on first use after a mutation.
+    /// O(V + E) to build; neighbor order is edge-id order.
+    pub fn csr(&self) -> &CsrAdjacency {
+        self.csr
+            .get_or_init(|| CsrAdjacency::from_edges(self.nodes.len(), &self.edges))
+    }
+
     /// Neighbors of `node`: each adjacent node paired with the edge reaching
-    /// it. Parallel edges yield one entry per edge; a self-loop yields a
-    /// single entry pointing back at `node`.
-    pub fn neighbors(&self, node: NodeId) -> impl ExactSizeIterator<Item = NeighborRef> + '_ {
-        self.adjacency[node.index()]
-            .iter()
-            .map(|&(n, e)| NeighborRef { node: n, edge: e })
+    /// it, in edge-id order. Parallel edges yield one entry per edge; a
+    /// self-loop yields a single entry pointing back at `node`.
+    #[inline]
+    pub fn neighbors(&self, node: NodeId) -> &[NeighborRef] {
+        self.csr().neighbors(node)
     }
 
     /// Degree of `node` (number of incident edge endpoints; self-loops count
-    /// once because adjacency stores them once).
+    /// once because the adjacency lists them once).
     #[inline]
     pub fn degree(&self, node: NodeId) -> usize {
-        self.adjacency[node.index()].len()
+        self.neighbors(node).len()
     }
 
     /// Finds an edge connecting `a` and `b`, if any (first match in `a`'s
-    /// adjacency list; O(degree(a))).
+    /// neighbor list; O(degree(a))).
     pub fn find_edge(&self, a: NodeId, b: NodeId) -> Option<EdgeId> {
-        self.adjacency[a.index()]
+        self.neighbors(a)
             .iter()
-            .find(|&&(n, _)| n == b)
-            .map(|&(_, e)| e)
+            .find(|nb| nb.node == b)
+            .map(|nb| nb.edge)
     }
 
     /// `true` if some edge connects `a` and `b`.
@@ -308,22 +391,8 @@ impl<N, E> Graph<N, E> {
                     weight: f(EdgeId::from_index(i), &slot.weight),
                 })
                 .collect(),
-            adjacency: self.adjacency.clone(),
+            csr: self.csr.clone(),
         }
-    }
-
-    /// Builds a [`CsrAdjacency`] snapshot of the current adjacency.
-    /// O(V + E); neighbor order matches [`Graph::neighbors`].
-    pub fn to_csr(&self) -> CsrAdjacency {
-        let total: usize = self.adjacency.iter().map(Vec::len).sum();
-        let mut offsets = Vec::with_capacity(self.nodes.len() + 1);
-        let mut neighbors = Vec::with_capacity(total);
-        offsets.push(0u32);
-        for adj in &self.adjacency {
-            neighbors.extend(adj.iter().map(|&(n, e)| NeighborRef { node: n, edge: e }));
-            offsets.push(u32::try_from(neighbors.len()).expect("adjacency fits in u32"));
-        }
-        CsrAdjacency { offsets, neighbors }
     }
 
     /// Sum of edge-payload projections; convenience for capacity audits.
@@ -366,9 +435,9 @@ mod tests {
     #[test]
     fn adjacency_is_symmetric() {
         let (g, [a, b, _c], _) = triangle();
-        let from_a: Vec<_> = g.neighbors(a).map(|n| n.node).collect();
+        let from_a: Vec<_> = g.neighbors(a).iter().map(|n| n.node).collect();
         assert!(from_a.contains(&b));
-        let from_b: Vec<_> = g.neighbors(b).map(|n| n.node).collect();
+        let from_b: Vec<_> = g.neighbors(b).iter().map(|n| n.node).collect();
         assert!(from_b.contains(&a));
         assert_eq!(g.degree(a), 2);
     }
@@ -388,7 +457,7 @@ mod tests {
         let e1 = g.add_edge(a, b, 1.0);
         let e2 = g.add_edge(a, b, 2.0);
         assert_ne!(e1, e2);
-        assert_eq!(g.neighbors(a).count(), 2);
+        assert_eq!(g.neighbors(a).len(), 2);
         // find_edge returns one of them
         assert!(g.find_edge(a, b).is_some());
     }
@@ -399,8 +468,7 @@ mod tests {
         let a = g.add_node(());
         g.add_edge(a, a, ());
         assert_eq!(g.degree(a), 1);
-        let n: Vec<_> = g.neighbors(a).collect();
-        assert_eq!(n[0].node, a);
+        assert_eq!(g.neighbors(a)[0].node, a);
     }
 
     #[test]
@@ -452,33 +520,20 @@ mod tests {
     }
 
     #[test]
-    fn csr_matches_native_adjacency() {
-        let (g, ids, _) = triangle();
-        let csr = g.to_csr();
-        assert_eq!(csr.node_count(), 3);
-        for &v in &ids {
-            let native: Vec<_> = g.neighbors(v).collect();
-            assert_eq!(csr.neighbors(v), native.as_slice());
-        }
-    }
-
-    #[test]
     fn csr_handles_isolated_nodes_and_self_loops() {
         let mut g: Graph<(), ()> = Graph::new();
         let a = g.add_node(());
         let b = g.add_node(()); // isolated
         g.add_edge(a, a, ());
-        let csr = g.to_csr();
-        assert_eq!(csr.neighbors(a).len(), 1);
-        assert_eq!(csr.neighbors(a)[0].node, a);
-        assert!(csr.neighbors(b).is_empty());
+        assert_eq!(g.neighbors(a).len(), 1);
+        assert_eq!(g.neighbors(a)[0].node, a);
+        assert!(g.neighbors(b).is_empty());
     }
 
     #[test]
     fn csr_of_empty_graph() {
         let g: Graph<(), ()> = Graph::new();
-        let csr = g.to_csr();
-        assert_eq!(csr.node_count(), 0);
+        assert_eq!(g.csr().node_count(), 0);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! # emumap-graph
 //!
-//! Graph substrate for the `emumap` project — a from-scratch adjacency-list
+//! Graph substrate for the `emumap` project — a from-scratch CSR-adjacency
 //! graph library sized for emulation-testbed mapping workloads (tens of
 //! physical hosts, thousands of guests, tens of thousands of virtual links).
 //!
 //! The crate provides:
 //!
 //! * [`Graph`] — an undirected multigraph with typed [`NodeId`] / [`EdgeId`]
-//!   handles and arbitrary node/edge payloads,
+//!   handles and arbitrary node/edge payloads; its one adjacency is a
+//!   [`CsrAdjacency`] derived from the edge list and never serialized,
 //! * shortest-path and traversal algorithms in [`algo`] (Dijkstra with
 //!   generic edge costs, BFS/DFS, connectivity, union–find),
 //! * cluster-topology generators in [`generators`] (2-D torus, cascaded

@@ -6,10 +6,10 @@ use emumap_graph::algo::{
 use emumap_graph::generators::{
     edges_for_density, fat_tree, random_connected, ring, switched_cascade, torus2d, Role,
 };
-use emumap_graph::{Graph, NodeId};
+use emumap_graph::{EdgeId, Graph, NodeId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// An arbitrary connected weighted graph: node count, density, edge-weight
 /// seed.
@@ -222,8 +222,8 @@ proptest! {
         let s = NodeId::from_index(0);
         let t = NodeId::from_index(g.node_count() - 1);
         let flow = emumap_graph::algo::max_flow(&g, s, t, |c| *c);
-        let cut_s: f64 = g.neighbors(s).map(|nb| *g.edge(nb.edge)).sum();
-        let cut_t: f64 = g.neighbors(t).map(|nb| *g.edge(nb.edge)).sum();
+        let cut_s: f64 = g.neighbors(s).iter().map(|nb| *g.edge(nb.edge)).sum();
+        let cut_t: f64 = g.neighbors(t).iter().map(|nb| *g.edge(nb.edge)).sum();
         prop_assert!(flow <= cut_s.min(cut_t) + 1e-9);
         // Connected graph with positive capacities: flow is positive.
         prop_assert!(flow > 0.0);
@@ -248,5 +248,50 @@ proptest! {
         }
         let avg = emumap_graph::algo::average_path_cost(&g, |_, w| *w).unwrap();
         prop_assert!(avg <= d + 1e-9);
+    }
+}
+
+/// The neighbor lists `Graph` must produce, built the simplest way: walk
+/// the edges in id order, list each at both endpoints, a self-loop once.
+fn reference_neighbors<N, E>(g: &Graph<N, E>) -> Vec<Vec<(NodeId, EdgeId)>> {
+    let mut lists = vec![Vec::new(); g.node_count()];
+    for e in g.edges() {
+        lists[e.a.index()].push((e.b, e.id));
+        if e.a != e.b {
+            lists[e.b.index()].push((e.a, e.id));
+        }
+    }
+    lists
+}
+
+/// An arbitrary multigraph — parallel edges, self-loops and isolated
+/// nodes included — whose neighbor lists were queried once halfway
+/// through construction, so a stale adjacency would show.
+fn arb_multigraph() -> impl Strategy<Value = Graph<(), u32>> {
+    (1usize..30, 0usize..90, any::<u64>()).prop_map(|(n, m, seed)| {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut g = Graph::new();
+        let ids: Vec<_> = (0..n).map(|_| g.add_node(())).collect();
+        for k in 0..m {
+            if k == m / 2 {
+                let _ = g.degree(ids[0]);
+            }
+            let a = ids[rng.gen_range(0..n)];
+            let b = ids[rng.gen_range(0..n)];
+            g.add_edge(a, b, k as u32);
+        }
+        g
+    })
+}
+
+proptest! {
+    #[test]
+    fn neighbor_order_matches_edge_id_reference(g in arb_multigraph()) {
+        let reference = reference_neighbors(&g);
+        for v in g.node_ids() {
+            let got: Vec<_> = g.neighbors(v).iter().map(|nb| (nb.node, nb.edge)).collect();
+            prop_assert_eq!(&got, &reference[v.index()]);
+            prop_assert_eq!(g.degree(v), reference[v.index()].len());
+        }
     }
 }

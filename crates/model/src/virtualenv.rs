@@ -3,9 +3,8 @@
 
 use crate::resources::{Kbps, MemMb, Millis, Mips};
 use crate::StorGb;
-use emumap_graph::{CsrAdjacency, EdgeId, Graph, NeighborRef, NodeId};
-use serde::{DeError, Deserialize, Serialize, Value};
-use std::sync::OnceLock;
+use emumap_graph::{EdgeId, Graph, NodeId};
+use serde::{Deserialize, Serialize};
 
 /// Resource demands of one guest (virtual machine).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -51,61 +50,30 @@ pub type VLinkId = EdgeId;
 
 /// The virtual environment `v = (V, E_v)`: guests and the virtual links
 /// between them.
-#[derive(Debug)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct VirtualEnvironment {
     graph: Graph<GuestSpec, VLinkSpec>,
-    /// Lazily built CSR snapshot of the guest adjacency, consumed by the
-    /// per-move O(degree) bandwidth deltas of the search loops
-    /// ([`links_of`](Self::links_of)). Invalidated by every mutation;
-    /// deliberately excluded from `Clone`/serde (it is derived state).
-    csr: OnceLock<CsrAdjacency>,
-}
-
-/// Structural equality on the guest/link graph; the lazily built CSR
-/// snapshot is derived state and deliberately not compared.
-impl PartialEq for VirtualEnvironment {
-    fn eq(&self, other: &Self) -> bool {
-        self.graph == other.graph
-    }
 }
 
 impl VirtualEnvironment {
     /// An empty virtual environment.
     pub fn new() -> Self {
-        VirtualEnvironment {
-            graph: Graph::new(),
-            csr: OnceLock::new(),
-        }
+        Self::from_graph(Graph::new())
     }
 
     /// Wraps an already-built guest/link graph.
     pub fn from_graph(graph: Graph<GuestSpec, VLinkSpec>) -> Self {
-        VirtualEnvironment {
-            graph,
-            csr: OnceLock::new(),
-        }
+        VirtualEnvironment { graph }
     }
 
     /// Adds a guest; returns its id.
     pub fn add_guest(&mut self, spec: GuestSpec) -> GuestId {
-        self.csr.take();
         self.graph.add_node(spec)
     }
 
     /// Adds a virtual link between two guests; returns its id.
     pub fn add_link(&mut self, a: GuestId, b: GuestId, spec: VLinkSpec) -> VLinkId {
-        self.csr.take();
         self.graph.add_edge(a, b, spec)
-    }
-
-    /// The virtual links incident to `guest` as a contiguous slice
-    /// (neighbor + link id), served from a lazily built, cached CSR
-    /// snapshot — the O(degree) adjacency walk of the delta-evaluation
-    /// paths. Self-loops appear once.
-    pub fn links_of(&self, guest: GuestId) -> &[NeighborRef] {
-        self.csr
-            .get_or_init(|| self.graph.to_csr())
-            .neighbors(guest)
     }
 
     /// The underlying graph.
@@ -155,6 +123,7 @@ impl VirtualEnvironment {
     pub fn incident_bandwidth(&self, guest: GuestId) -> Kbps {
         self.graph
             .neighbors(guest)
+            .iter()
             .map(|nb| self.graph.edge(nb.edge).bw)
             .sum()
     }
@@ -173,33 +142,6 @@ impl VirtualEnvironment {
 impl Default for VirtualEnvironment {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Clone for VirtualEnvironment {
-    fn clone(&self) -> Self {
-        // The CSR cache is derived state; the clone rebuilds it lazily.
-        VirtualEnvironment::from_graph(self.graph.clone())
-    }
-}
-
-// Manual serde impls (the derive would try to serialize the CSR cache):
-// same wire format the previous `#[derive]` produced — an object with the
-// one "graph" field — so existing files keep round-tripping.
-impl Serialize for VirtualEnvironment {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![("graph".to_string(), self.graph.to_value())])
-    }
-}
-
-impl Deserialize for VirtualEnvironment {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let pairs = value.expect_object("VirtualEnvironment")?;
-        Ok(VirtualEnvironment::from_graph(serde::__field(
-            pairs,
-            "graph",
-            "VirtualEnvironment",
-        )?))
     }
 }
 
@@ -255,61 +197,5 @@ mod tests {
         let venv = VirtualEnvironment::default();
         assert_eq!(venv.guest_count(), 0);
         assert_eq!(venv.link_count(), 0);
-    }
-
-    #[test]
-    fn links_of_matches_graph_neighbors() {
-        let mut venv = VirtualEnvironment::new();
-        let a = venv.add_guest(small_guest());
-        let b = venv.add_guest(small_guest());
-        let c = venv.add_guest(small_guest());
-        venv.add_link(a, b, small_link());
-        venv.add_link(a, c, small_link());
-        let self_loop = venv.add_link(b, b, small_link());
-        for g in venv.guest_ids() {
-            let via_csr: Vec<_> = venv
-                .links_of(g)
-                .iter()
-                .map(|nb| (nb.node, nb.edge))
-                .collect();
-            let via_graph: Vec<_> = venv
-                .graph()
-                .neighbors(g)
-                .map(|nb| (nb.node, nb.edge))
-                .collect();
-            assert_eq!(via_csr, via_graph);
-        }
-        // A self-loop appears exactly once in its endpoint's list.
-        let loops = venv
-            .links_of(b)
-            .iter()
-            .filter(|nb| nb.edge == self_loop)
-            .count();
-        assert_eq!(loops, 1);
-    }
-
-    #[test]
-    fn links_of_sees_mutations_after_cache_was_built() {
-        let mut venv = VirtualEnvironment::new();
-        let a = venv.add_guest(small_guest());
-        let b = venv.add_guest(small_guest());
-        venv.add_link(a, b, small_link());
-        assert_eq!(venv.links_of(a).len(), 1); // builds the CSR cache
-        let c = venv.add_guest(small_guest()); // must invalidate it
-        venv.add_link(a, c, small_link());
-        assert_eq!(venv.links_of(a).len(), 2);
-        assert_eq!(venv.links_of(c).len(), 1);
-    }
-
-    #[test]
-    fn clone_rebuilds_csr_lazily() {
-        let mut venv = VirtualEnvironment::new();
-        let a = venv.add_guest(small_guest());
-        let b = venv.add_guest(small_guest());
-        venv.add_link(a, b, small_link());
-        let _ = venv.links_of(a); // warm the original's cache
-        let cloned = venv.clone();
-        assert_eq!(cloned.links_of(a).len(), 1);
-        assert_eq!(cloned.guest_count(), venv.guest_count());
     }
 }

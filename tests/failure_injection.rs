@@ -170,3 +170,167 @@ fn guests_never_land_on_switches() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Hostile instance files through the `emumap` CLI (`map` and `exact`)
+// ---------------------------------------------------------------------------
+
+/// Runs the `emumap` command line in-process. A panic (exit 101 from the
+/// binary) fails the test; an error comes back as the binary prints it
+/// before exiting 1.
+fn cli(args: &[&str]) -> Result<Vec<String>, String> {
+    let parsed = emumap_cli::Parsed::parse_with_aliases(args.iter().map(|a| a.to_string()))
+        .expect("valid command line");
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| emumap_cli::run(&parsed)))
+        .unwrap_or_else(|_| panic!("`emumap {}` panicked (exit 101)", args.join(" ")))
+        .map_err(|e| e.to_string())
+}
+
+/// A fresh scratch directory for one test's files.
+fn scratch_dir(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("emumap-{test}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// A 4-host ring and a 6-guest ring environment with two chords, every
+/// guest and link a different size (a host holds two guests at most, so
+/// which links get routed depends on co-location). Returns the phys file
+/// path and the venv file's JSON value, as the CLI writes them.
+fn ring_instance(dir: &std::path::Path) -> (String, serde::Value) {
+    let phys = small_phys(4, 1024, 1000.0, 5.0);
+    let mut venv = VirtualEnvironment::new();
+    let g: Vec<_> = (0..6)
+        .map(|i| {
+            let proc = Mips(100.0 + 30.0 * f64::from(i));
+            venv.add_guest(GuestSpec::new(proc, MemMb(400), StorGb(1.0)))
+        })
+        .collect();
+    let links = [
+        (0, 1),
+        (1, 2),
+        (2, 3),
+        (3, 4),
+        (4, 5),
+        (5, 0),
+        (0, 3),
+        (1, 4),
+    ];
+    for (i, (a, b)) in links.into_iter().enumerate() {
+        let bw = Kbps(50.0 + 40.0 * i as f64);
+        venv.add_link(g[a], g[b], VLinkSpec::new(bw, Millis(50.0)));
+    }
+    let phys_path = dir.join("phys.json");
+    std::fs::write(&phys_path, serde_json::to_string_pretty(&phys).unwrap()).unwrap();
+    let venv_value = serde_json::value_from_str(&serde_json::to_string(&venv).unwrap()).unwrap();
+    (phys_path.to_str().unwrap().to_string(), venv_value)
+}
+
+/// The value under `key` of a JSON object.
+fn field<'v>(value: &'v mut serde::Value, key: &str) -> &'v mut serde::Value {
+    let serde::Value::Object(pairs) = value else {
+        panic!("expected an object holding `{key}`")
+    };
+    let pair = pairs.iter_mut().find(|(k, _)| k == key);
+    &mut pair.unwrap_or_else(|| panic!("no `{key}`")).1
+}
+
+/// Element `i` of a JSON array.
+fn item(value: &mut serde::Value, i: usize) -> &mut serde::Value {
+    let serde::Value::Array(items) = value else {
+        panic!("expected an array")
+    };
+    &mut items[i]
+}
+
+/// Adds the `adjacency` key older versions wrote: per guest, the
+/// `[neighbor, edge]` pairs of its links in edge order.
+fn with_stored_adjacency(mut venv: serde::Value) -> serde::Value {
+    let parsed: VirtualEnvironment =
+        serde_json::from_str(&serde_json::to_string(&venv).unwrap()).expect("valid venv");
+    let lists = parsed
+        .guest_ids()
+        .map(|g| {
+            let pairs = parsed.graph().neighbors(g).iter();
+            let pairs = pairs.map(|nb| {
+                let ids = [nb.node.index(), nb.edge.index()];
+                serde::Value::Array(ids.map(|i| serde::Value::I64(i as i64)).to_vec())
+            });
+            serde::Value::Array(pairs.collect())
+        })
+        .collect();
+    let serde::Value::Object(graph) = field(&mut venv, "graph") else {
+        panic!("venv.graph is an object")
+    };
+    graph.push(("adjacency".to_string(), serde::Value::Array(lists)));
+    venv
+}
+
+/// Runs `map` and `exact` on `venv` and returns each one's mapping file.
+fn map_and_exact(dir: &std::path::Path, phys: &str, venv: &serde::Value) -> Vec<String> {
+    let venv_path = dir.join("venv.json");
+    std::fs::write(&venv_path, serde_json::to_string_pretty(venv).unwrap()).unwrap();
+    let venv_path = venv_path.to_str().unwrap();
+    let out = dir.join("mapping.json");
+    let out = out.to_str().unwrap();
+    [["map", "--mapper", "hmn"], ["exact", "--max-nodes", "5000"]]
+        .iter()
+        .map(|cmd| {
+            let mut args = cmd.to_vec();
+            args.extend(["--phys", phys, "--venv", venv_path, "-o", out]);
+            cli(&args).unwrap_or_else(|e| panic!("`emumap {}` failed: {e}", cmd[0]));
+            std::fs::read_to_string(out).expect("mapping written")
+        })
+        .collect()
+}
+
+#[test]
+fn out_of_range_venv_edge_endpoint_is_a_typed_cli_error() {
+    let dir = scratch_dir("bad-endpoint");
+    let (phys, mut venv) = ring_instance(&dir);
+    let edges = field(field(&mut venv, "graph"), "edges");
+    *field(item(edges, 2), "b") = serde::Value::I64(99);
+    let venv_path = dir.join("venv.json");
+    std::fs::write(&venv_path, serde_json::to_string_pretty(&venv).unwrap()).unwrap();
+    let venv_path = venv_path.to_str().unwrap();
+    for cmd in ["map", "exact"] {
+        let err = cli(&[cmd, "--phys", &phys, "--venv", venv_path])
+            .expect_err("an edge to a missing guest must be rejected");
+        assert!(
+            err.contains("graph: edges[2].b: node 99 out of range (6 nodes)"),
+            "{cmd}: {err}"
+        );
+    }
+}
+
+#[test]
+fn out_of_range_adjacency_entry_is_ignored_on_load() {
+    let dir = scratch_dir("bad-adjacency");
+    let (phys, venv) = ring_instance(&dir);
+    let clean = map_and_exact(&dir, &phys, &venv);
+    let mut old = with_stored_adjacency(venv);
+    let adjacency = field(field(&mut old, "graph"), "adjacency");
+    let serde::Value::Array(first) = item(adjacency, 0) else {
+        panic!("an adjacency list is an array")
+    };
+    first.push(serde::Value::Array(vec![
+        serde::Value::I64(99),
+        serde::Value::I64(0),
+    ]));
+    assert_eq!(map_and_exact(&dir, &phys, &old), clean);
+}
+
+#[test]
+fn dropped_adjacency_entry_maps_the_graph_the_edges_describe() {
+    let dir = scratch_dir("short-adjacency");
+    let (phys, venv) = ring_instance(&dir);
+    let clean = map_and_exact(&dir, &phys, &venv);
+    let mut old = with_stored_adjacency(venv);
+    let adjacency = field(field(&mut old, "graph"), "adjacency");
+    // Guest 4 loses its widest link (to guest 1) from its stored list.
+    let serde::Value::Array(guest4) = item(adjacency, 4) else {
+        panic!("an adjacency list is an array")
+    };
+    guest4.pop();
+    assert_eq!(map_and_exact(&dir, &phys, &old), clean);
+}

@@ -1,15 +1,14 @@
-//! Property suite for the physical CSR hot paths: iterating a
-//! [`CsrAdjacency`] snapshot must be *observably identical* to iterating
-//! the edge-list adjacency it was built from, on arbitrary random
-//! topologies. This is the contract that lets the Networking/DFS/Dijkstra
-//! code swap iteration sources without perturbing any RNG stream or
-//! mapping result.
+//! Property suite for the physical routing hot paths: a search through a
+//! warm, reused scratch buffer must be *observably identical* to the same
+//! search on a fresh one, on arbitrary random topologies. This is the
+//! contract that lets the mappers keep one scratch per worker without
+//! perturbing any RNG stream or mapping result.
 
-use emumap::graph::algo::{dijkstra, dijkstra_csr};
-use emumap::graph::{generators, Graph, NodeId};
+use emumap::graph::algo::dijkstra;
+use emumap::graph::{generators, EdgeId, Graph, NodeId};
 use emumap::mapping::{
-    astar_prune, astar_prune_with, hop_distances, naive_dfs_route, naive_dfs_route_csr,
-    AStarPruneConfig, DfsScratch, RouteScratch,
+    astar_prune, hop_distances, naive_dfs_route, AStarPruneConfig, DfsScratch, RouteScratch,
+    SearchStats,
 };
 use emumap::model::{
     HostSpec, Kbps, LinkSpec, MemMb, Millis, Mips, PhysNode, PhysicalTopology, ResidualState,
@@ -62,75 +61,88 @@ fn pick_pair(phys: &PhysicalTopology, seed: u64) -> (NodeId, NodeId) {
     (a, b)
 }
 
+/// One DFS route per query, with the next RNG draw after it.
+type DfsRuns = Vec<(Option<Vec<EdgeId>>, u64)>;
+
+/// DFS routes of three host pairs, each on a fresh scratch and on one
+/// shared warm scratch. Pure function of the inputs.
+fn dfs_fresh_and_warm(phys: &PhysicalTopology, seed: u64) -> (DfsRuns, DfsRuns) {
+    let residual = ResidualState::new(phys);
+    let mut warm_scratch = DfsScratch::default();
+    let (mut fresh, mut warm) = (Vec::new(), Vec::new());
+    for trial in 0..3u64 {
+        let (origin, dest) = pick_pair(phys, seed ^ trial);
+        let hops = hop_distances(phys, dest);
+        let route = |scratch: &mut DfsScratch| {
+            let mut rng = SmallRng::seed_from_u64(seed ^ trial);
+            let path = naive_dfs_route(
+                phys,
+                &residual,
+                origin,
+                dest,
+                Kbps(50.0),
+                Millis(90.0),
+                &hops,
+                &mut rng,
+                scratch,
+            );
+            (path, rng.next_u64())
+        };
+        fresh.push(route(&mut DfsScratch::default()));
+        warm.push(route(&mut warm_scratch));
+    }
+    (fresh, warm)
+}
+
+/// One A\*Prune result per query.
+type AStarRuns = Vec<Option<(Vec<EdgeId>, SearchStats)>>;
+
+/// A\*Prune searches of three random queries, each on a fresh scratch and
+/// on one shared warm scratch. Pure function of the inputs.
+fn astar_fresh_and_warm(phys: &PhysicalTopology, seed: u64) -> (AStarRuns, AStarRuns) {
+    let residual = ResidualState::new(phys);
+    let config = AStarPruneConfig::default();
+    let mut warm_scratch = RouteScratch::new();
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xa5a5);
+    let (mut fresh, mut warm) = (Vec::new(), Vec::new());
+    for trial in 0..3u64 {
+        let (origin, dest) = pick_pair(phys, seed ^ trial);
+        let ar = dijkstra(phys.graph(), dest, |_, l| l.lat.value())
+            .distances()
+            .to_vec();
+        let demand = Kbps(rng.gen_range(1.0..300.0));
+        let bound = Millis(rng.gen_range(5.0..60.0));
+        let search = |scratch: &mut RouteScratch| {
+            astar_prune(
+                phys, &residual, origin, dest, demand, bound, &ar, &config, scratch,
+            )
+        };
+        fresh.push(search(&mut RouteScratch::new()));
+        warm.push(search(&mut warm_scratch));
+    }
+    (fresh, warm)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Dijkstra over the CSR snapshot returns the same distance table as
-    /// Dijkstra over the edge list, for both the latency and the
-    /// unit-cost (hop count) weightings.
+    /// The randomized DFS router consumes its RNG identically on a fresh
+    /// and on a warm scratch: same path (bit for bit) and same RNG stream
+    /// afterwards, so reusing a scratch cannot shift any downstream random
+    /// decision.
     #[test]
-    fn dijkstra_csr_matches_edge_list((phys, seed) in arb_cluster()) {
-        let graph = phys.graph();
-        let csr = graph.to_csr();
-        let (_, dest) = pick_pair(&phys, seed);
-        let by_lat = dijkstra(graph, dest, |_, l| l.lat.value());
-        let by_lat_csr = dijkstra_csr(graph, &csr, dest, |_, l| l.lat.value());
-        prop_assert_eq!(by_lat.distances(), by_lat_csr.distances());
-        let by_hop = dijkstra(graph, dest, |_, _| 1.0);
-        let by_hop_csr = dijkstra_csr(graph, &csr, dest, |_, _| 1.0);
-        prop_assert_eq!(by_hop.distances(), by_hop_csr.distances());
+    fn dfs_route_scratch_matches_fresh((phys, seed) in arb_cluster()) {
+        let (fresh, warm) = dfs_fresh_and_warm(&phys, seed);
+        prop_assert_eq!(fresh, warm);
     }
 
-    /// The randomized DFS router consumes its RNG identically through
-    /// both iteration sources: same path (bit for bit) and same RNG
-    /// stream afterwards, so swapping in the CSR cannot shift any
-    /// downstream random decision.
-    #[test]
-    fn dfs_route_csr_matches_edge_list((phys, seed) in arb_cluster()) {
-        let csr = phys.graph().to_csr();
-        let residual = ResidualState::new(&phys);
-        let (origin, dest) = pick_pair(&phys, seed);
-        let hops = hop_distances(&phys, dest);
-        let demand = Kbps(50.0);
-        let bound = Millis(90.0);
-        let mut rng_a = SmallRng::seed_from_u64(seed);
-        let via_edges = naive_dfs_route(
-            &phys, &residual, origin, dest, demand, bound, &hops, &mut rng_a,
-        );
-        let mut rng_b = SmallRng::seed_from_u64(seed);
-        let mut scratch = DfsScratch::default();
-        let via_csr = naive_dfs_route_csr(
-            &phys, &csr, &residual, origin, dest, demand, bound, &hops, &mut rng_b, &mut scratch,
-        );
-        prop_assert_eq!(via_edges, via_csr);
-        prop_assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "RNG streams diverged");
-    }
-
-    /// A\*Prune through a cached CSR + warm scratch equals the
-    /// allocate-per-call wrapper on arbitrary clusters (scratch history
-    /// must never leak into a search).
+    /// A\*Prune through a warm scratch equals the same search on a fresh
+    /// scratch on arbitrary clusters (scratch history must never leak
+    /// into a search).
     #[test]
     fn astar_prune_csr_scratch_matches_fresh((phys, seed) in arb_cluster()) {
-        let csr = phys.graph().to_csr();
-        let residual = ResidualState::new(&phys);
-        let config = AStarPruneConfig::default();
-        let mut scratch = RouteScratch::new();
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xa5a5);
-        for trial in 0..3u64 {
-            let (origin, dest) = pick_pair(&phys, seed ^ trial);
-            let ar = dijkstra(phys.graph(), dest, |_, l| l.lat.value())
-                .distances()
-                .to_vec();
-            let demand = Kbps(rng.gen_range(1.0..300.0));
-            let bound = Millis(rng.gen_range(5.0..60.0));
-            let fresh = astar_prune(
-                &phys, &residual, origin, dest, demand, bound, &ar, &config,
-            );
-            let warm = astar_prune_with(
-                &phys, &residual, origin, dest, demand, bound, &ar, &config, &csr, &mut scratch,
-            );
-            prop_assert_eq!(fresh, warm);
-        }
+        let (fresh, warm) = astar_fresh_and_warm(&phys, seed);
+        prop_assert_eq!(fresh, warm);
     }
 
     /// Dominance pruning is a heuristic (it may tie-break differently),
@@ -151,7 +163,7 @@ proptest! {
         let demand = Kbps(150.0);
         let bound = Millis(45.0);
         if let Some((path, stats)) = astar_prune(
-            &phys, &residual, origin, dest, demand, bound, &ar, &config,
+            &phys, &residual, origin, dest, demand, bound, &ar, &config, &mut RouteScratch::new(),
         ) {
             let lat: f64 = path.iter().map(|&e| phys.link(e).lat.value()).sum();
             prop_assert!(lat <= bound.value() + 1e-9);
@@ -190,47 +202,13 @@ fn regression_seeds_replay() {
         let mut rng = SmallRng::seed_from_u64(seed);
         let (phys, s) = arb_cluster().generate(&mut rng);
         match name {
-            "dijkstra_csr_matches_edge_list" => {
-                let graph = phys.graph();
-                let csr = graph.to_csr();
-                let (_, dest) = pick_pair(&phys, s);
-                assert_eq!(
-                    dijkstra(graph, dest, |_, l| l.lat.value()).distances(),
-                    dijkstra_csr(graph, &csr, dest, |_, l| l.lat.value()).distances(),
-                );
+            "dfs_route_scratch_matches_fresh" => {
+                let (fresh, warm) = dfs_fresh_and_warm(&phys, s);
+                assert_eq!(fresh, warm);
             }
-            "dfs_route_csr_matches_edge_list" => {
-                let csr = phys.graph().to_csr();
-                let residual = ResidualState::new(&phys);
-                let (origin, dest) = pick_pair(&phys, s);
-                let hops = hop_distances(&phys, dest);
-                let mut rng_a = SmallRng::seed_from_u64(s);
-                let a = naive_dfs_route(
-                    &phys,
-                    &residual,
-                    origin,
-                    dest,
-                    Kbps(50.0),
-                    Millis(90.0),
-                    &hops,
-                    &mut rng_a,
-                );
-                let mut rng_b = SmallRng::seed_from_u64(s);
-                let mut scratch = DfsScratch::default();
-                let b = naive_dfs_route_csr(
-                    &phys,
-                    &csr,
-                    &residual,
-                    origin,
-                    dest,
-                    Kbps(50.0),
-                    Millis(90.0),
-                    &hops,
-                    &mut rng_b,
-                    &mut scratch,
-                );
-                assert_eq!(a, b);
-                assert_eq!(rng_a.next_u64(), rng_b.next_u64());
+            "astar_prune_csr_scratch_matches_fresh" => {
+                let (fresh, warm) = astar_fresh_and_warm(&phys, s);
+                assert_eq!(fresh, warm);
             }
             other => panic!("regression file pins unknown test '{other}'"),
         }
