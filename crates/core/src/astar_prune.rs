@@ -176,7 +176,7 @@ impl RouteScratch {
     }
 
     /// Searches that ran on already-warm buffers (every use after the
-    /// first). Surfaced in `MapStats::scratch_reuses`.
+    /// first). Counted in `PhaseCounters::scratch_reuses`.
     pub fn reuses(&self) -> usize {
         self.reuses
     }

@@ -73,7 +73,8 @@ pub struct ArTables {
     prepared: bool,
     ar: HashMap<NodeId, Vec<f64>>,
     hops: HashMap<NodeId, Vec<f64>>,
-    dijkstra_runs: usize,
+    ar_runs: usize,
+    hop_runs: usize,
     hits: usize,
 }
 
@@ -120,7 +121,7 @@ impl ArTables {
     ) -> (&'a [f64], &'a CsrAdjacency) {
         debug_assert!(self.prepared, "call ArTables::prepare first");
         if !self.ar.contains_key(&dest) {
-            self.dijkstra_runs += 1;
+            self.ar_runs += 1;
             let table = dijkstra(phys.graph(), dest, |_, link| link.lat.value())
                 .distances()
                 .to_vec();
@@ -140,7 +141,7 @@ impl ArTables {
     pub fn hops(&mut self, phys: &PhysicalTopology, dest: NodeId) -> &[f64] {
         debug_assert!(self.prepared, "call ArTables::prepare first");
         if !self.hops.contains_key(&dest) {
-            self.dijkstra_runs += 1;
+            self.hop_runs += 1;
             let table = dijkstra(phys.graph(), dest, |_, _| 1.0)
                 .distances()
                 .to_vec();
@@ -153,7 +154,13 @@ impl ArTables {
 
     /// Total Dijkstra runs since construction (both table families).
     pub fn dijkstra_runs(&self) -> usize {
-        self.dijkstra_runs
+        self.ar_runs + self.hop_runs
+    }
+
+    /// Hop-count table runs since construction (a subset of
+    /// [`dijkstra_runs`](Self::dijkstra_runs)).
+    pub fn hop_tables(&self) -> usize {
+        self.hop_runs
     }
 
     /// Table lookups answered from cache since construction.
@@ -187,7 +194,7 @@ impl AnnealScratch {
     }
 
     /// Annealing runs that started on already-warm buffers (every use
-    /// after the first). Surfaced in `MapStats::scratch_reuses`.
+    /// after the first). Counted in `PhaseCounters::scratch_reuses`.
     pub fn reuses(&self) -> usize {
         self.reuses
     }
@@ -243,7 +250,7 @@ impl RoundingScratch {
     }
 
     /// Rounding runs that started on already-warm buffers (every use
-    /// after the first). Surfaced in `MapStats::scratch_reuses`.
+    /// after the first). Counted in `PhaseCounters::scratch_reuses`.
     pub fn reuses(&self) -> usize {
         self.reuses
     }
@@ -387,6 +394,7 @@ mod tests {
         let _ = t.ar_and_csr(&phys, dest);
         let _ = t.hops(&phys, dest);
         assert_eq!(t.dijkstra_runs(), 2, "latency and hop tables are distinct");
+        assert_eq!(t.hop_tables(), 1);
         let _ = t.ar_and_csr(&phys, dest);
         let _ = t.hops(&phys, dest);
         assert_eq!(t.dijkstra_runs(), 2);

@@ -13,15 +13,16 @@
 //! nothing.
 
 use crate::astar_prune::AStarPruneConfig;
+use crate::cache::MapCache;
 use crate::error::MapError;
-use crate::hosting::{hosting_stage, links_by_descending_bw};
-use crate::mapper::{MapOutcome, MapStats, Mapper};
-use crate::networking::networking_stage;
+use crate::hosting::{links_by_descending_bw, HostingPolicy};
+use crate::mapper::{MapOutcome, Mapper};
+use crate::recorder::RunRecorder;
 use crate::state::PlacementState;
 use emumap_graph::NodeId;
 use emumap_model::{GuestId, Mapping, PhysicalTopology, VirtualEnvironment};
+use emumap_trace::Phase;
 use rand::RngCore;
-use std::time::Instant;
 
 /// Statistics from a drain pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -126,41 +127,28 @@ impl Mapper for ConsolidatingHmn {
         &self,
         phys: &PhysicalTopology,
         venv: &VirtualEnvironment,
-        _rng: &mut dyn RngCore,
+        rng: &mut dyn RngCore,
     ) -> Result<MapOutcome, MapError> {
-        let start = Instant::now();
+        self.map_with_cache(phys, venv, rng, &mut MapCache::new())
+    }
+
+    fn map_with_cache(
+        &self,
+        phys: &PhysicalTopology,
+        venv: &VirtualEnvironment,
+        _rng: &mut dyn RngCore,
+        cache: &mut MapCache,
+    ) -> Result<MapOutcome, MapError> {
         let links = links_by_descending_bw(venv);
         let mut state = PlacementState::new(phys, venv);
-
-        let t = Instant::now();
-        hosting_stage(&mut state, &links)?;
-        let placement_time = t.elapsed();
-
-        let t = Instant::now();
-        let drain = drain_stage(&mut state);
-        let migration_time = t.elapsed();
-
-        let t = Instant::now();
-        let (routes, net) = networking_stage(&mut state, &links, &self.astar)?;
-        let networking_time = t.elapsed();
-
-        let stats = MapStats {
-            attempts: 1,
-            migrations: drain.guests_moved,
-            routed_links: net.routed_links,
-            intra_host_links: net.intra_host_links,
-            astar_expansions: net.search.expanded,
-            astar_pushed: net.search.pushed,
-            dijkstra_runs: net.dijkstra_runs,
-            ar_cache_hits: net.ar_cache_hits,
-            placement_time,
-            migration_time,
-            networking_time,
-            total_time: start.elapsed(),
-            ..Default::default()
-        };
-        let mapping = Mapping::new(state.into_placement(), routes);
-        Ok(MapOutcome::new(phys, venv, mapping, stats))
+        let mut run = RunRecorder::start(cache, "HMN-consolidate", venv);
+        run.hosting(&mut state, &links, HostingPolicy::Paper)?;
+        // The drain pass takes the Migration stage's place.
+        run.phase(Phase::Migration, |_, c| {
+            c.moves_accepted = drain_stage(&mut state).guests_moved as u64;
+        });
+        let routes = run.networking(&mut state, &links, &self.astar)?;
+        Ok(run.finish(phys, venv, Mapping::new(state.into_placement(), routes), 1))
     }
 }
 

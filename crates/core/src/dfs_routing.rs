@@ -84,14 +84,14 @@ impl DfsScratch {
     }
 
     /// Searches that ran on already-warm buffers (every use after the
-    /// first). Surfaced in `MapStats::scratch_reuses`.
+    /// first). Counted in `PhaseCounters::scratch_reuses`.
     pub fn reuses(&self) -> usize {
         self.reuses
     }
 
     /// Cumulative backtrack steps (frames popped with no remaining
-    /// neighbor) across every search on this scratch. Surfaced in
-    /// `MapStats::dfs_backtracks` and the trace's Networking counters.
+    /// neighbor) across every search on this scratch. Counted in
+    /// `PhaseCounters::dfs_backtracks`.
     pub fn backtracks(&self) -> usize {
         self.backtracks
     }

@@ -33,12 +33,12 @@
 
 use crate::astar_prune::AStarPruneConfig;
 use crate::cache::MapCache;
-use crate::hmn::elapsed_us;
 use crate::hosting::links_by_descending_bw;
 use crate::ksp_routing::networking_stage_ksp_with;
 use crate::lagrangian::{lagrangian_bound, tightest_peer_bounds, LagrangianConfig, NodeView};
 use crate::networking::networking_stage_with;
 use crate::parallel::ParallelRunner;
+use crate::recorder::elapsed_us;
 use crate::state::PlacementState;
 use emumap_graph::NodeId;
 use emumap_model::objective::mapping_objective;

@@ -14,16 +14,16 @@
 
 use crate::cache::MapCache;
 use crate::error::MapError;
-use crate::hosting::{hosting_stage, links_by_descending_bw};
-use crate::mapper::{MapOutcome, MapStats, Mapper};
+use crate::hosting::{links_by_descending_bw, HostingPolicy};
+use crate::mapper::{MapOutcome, Mapper};
 use crate::migration::migration_stage;
 use crate::networking::NetworkingStats;
+use crate::recorder::RunRecorder;
 use crate::state::PlacementState;
 use emumap_graph::algo::k_shortest_paths;
 use emumap_model::{Mapping, PhysicalTopology, Route, VLinkId, VirtualEnvironment};
-use emumap_trace::{Phase, PhaseCounters, TraceEvent};
+use emumap_trace::{Phase, TraceEvent};
 use rand::RngCore;
-use std::time::Instant;
 
 /// Routes `links` with Yen's K-cheapest-latency paths, committing
 /// bandwidth into `state`. Returns the route table, or the first
@@ -159,115 +159,23 @@ impl Mapper for HmnKsp {
         _rng: &mut dyn RngCore,
         cache: &mut MapCache,
     ) -> Result<MapOutcome, MapError> {
-        let start = Instant::now();
         let links = links_by_descending_bw(venv);
         let mut state = PlacementState::new(phys, venv);
-        cache.trace.emit(|| TraceEvent::MapStart {
-            mapper: "HMN-ksp".into(),
-            guests: venv.guest_count() as u64,
-            links: venv.link_count() as u64,
+        let mut run = RunRecorder::start(cache, "HMN-ksp", venv);
+        run.hosting(&mut state, &links, HostingPolicy::Paper)?;
+        // This ablation reports only the Migration stage's moves.
+        run.phase(Phase::Migration, |_, c| {
+            let m = migration_stage(&mut state);
+            c.moves_accepted = m.migrations as u64;
+            c.moves_rejected = m.rejected as u64;
         });
-
-        let t = Instant::now();
-        cache.trace.emit(|| TraceEvent::PhaseStart {
-            phase: Phase::Hosting,
-        });
-        let hosting = match hosting_stage(&mut state, &links) {
-            Ok(h) => h,
-            Err(e) => {
-                // Close the open phase even on failure: trace consumers
-                // rely on PhaseStart/PhaseEnd always being bracketed.
-                cache.trace.emit(|| TraceEvent::PhaseEnd {
-                    phase: Phase::Hosting,
-                    elapsed_us: crate::hmn::elapsed_us(t),
-                    counters: PhaseCounters::default(),
-                });
-                cache.trace.emit(|| TraceEvent::MapEnd {
-                    ok: false,
-                    objective: None,
-                    elapsed_us: crate::hmn::elapsed_us(start),
-                });
-                return Err(e);
-            }
-        };
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Hosting,
-            elapsed_us: crate::hmn::elapsed_us(t),
-            counters: PhaseCounters {
-                colocation_hits: hosting.colocation_hits as u64,
-                first_fit_fallbacks: hosting.first_fit_fallbacks as u64,
-                ..Default::default()
-            },
-        });
-        let placement_time = t.elapsed();
-        let t = Instant::now();
-        cache.trace.emit(|| TraceEvent::PhaseStart {
-            phase: Phase::Migration,
-        });
-        let migration = migration_stage(&mut state);
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Migration,
-            elapsed_us: crate::hmn::elapsed_us(t),
-            counters: PhaseCounters {
-                moves_accepted: migration.migrations as u64,
-                moves_rejected: migration.rejected as u64,
-                ..Default::default()
-            },
-        });
-        let migration_time = t.elapsed();
-        let t = Instant::now();
-        cache.trace.emit(|| TraceEvent::PhaseStart {
-            phase: Phase::Networking,
-        });
-        let (routes, net) = match networking_stage_ksp_with(&mut state, &links, self.k, cache) {
-            Ok(r) => r,
-            Err(e) => {
-                cache.trace.emit(|| TraceEvent::PhaseEnd {
-                    phase: Phase::Networking,
-                    elapsed_us: crate::hmn::elapsed_us(t),
-                    counters: PhaseCounters::default(),
-                });
-                cache.trace.emit(|| TraceEvent::MapEnd {
-                    ok: false,
-                    objective: None,
-                    elapsed_us: crate::hmn::elapsed_us(start),
-                });
-                return Err(e);
-            }
-        };
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Networking,
-            elapsed_us: crate::hmn::elapsed_us(t),
-            counters: PhaseCounters {
-                dijkstra_runs: net.dijkstra_runs as u64,
-                cache_hits: net.ar_cache_hits as u64,
-                ..Default::default()
-            },
-        });
-        let stats = MapStats {
-            attempts: 1,
-            migrations: migration.migrations,
-            migrations_rejected: migration.rejected,
-            colocation_hits: hosting.colocation_hits,
-            first_fit_fallbacks: hosting.first_fit_fallbacks,
-            routed_links: net.routed_links,
-            intra_host_links: net.intra_host_links,
-            dijkstra_runs: net.dijkstra_runs,
-            ar_cache_hits: net.ar_cache_hits,
-            placement_time,
-            migration_time,
-            networking_time: t.elapsed(),
-            total_time: start.elapsed(),
-            ..Default::default()
-        };
-        let mapping = Mapping::new(state.into_placement(), routes);
-        let outcome = MapOutcome::new(phys, venv, mapping, stats);
-        cache.trace.emit(|| TraceEvent::MapEnd {
-            ok: true,
-            objective: Some(outcome.objective),
-            elapsed_us: crate::hmn::elapsed_us(start),
-        });
-        Ok(outcome)
+        let routes = run.phase(Phase::Networking, |cache, c| {
+            let (routes, net) = networking_stage_ksp_with(&mut state, &links, self.k, cache)?;
+            c.routed_links = net.routed_links as u64;
+            c.intra_host_links = net.intra_host_links as u64;
+            Ok(routes)
+        })?;
+        Ok(run.finish(phys, venv, Mapping::new(state.into_placement(), routes), 1))
     }
 }
 

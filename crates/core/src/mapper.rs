@@ -3,11 +3,14 @@
 use crate::cache::MapCache;
 use crate::error::MapError;
 use emumap_model::{objective::mapping_objective, Mapping, PhysicalTopology, VirtualEnvironment};
+use emumap_trace::{Phase, PhaseCounters};
 use rand::RngCore;
 use std::time::Duration;
 
-/// Per-run statistics. All fields are best-effort: mappers fill in what
-/// applies to them (e.g. the Random baselines have no migration phase).
+/// Per-run statistics: a view of the run's per-phase [`PhaseCounters`]
+/// (each counter summed over the run's phases) plus the attempt count and
+/// wall-clock times. A counter stays zero in a mapper that has
+/// no phase owning it (e.g. the Random baselines have no migration).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct MapStats {
     /// Complete mapping attempts (1 for HMN; retry count for baselines).
@@ -31,13 +34,13 @@ pub struct MapStats {
     pub astar_expansions: usize,
     /// A\*Prune candidates pushed onto the heap (0 for DFS routing).
     pub astar_pushed: usize,
-    /// Dijkstra table computations (latency `ar[]` plus hop-count tables).
+    /// Latency `ar[]` Dijkstra table computations.
     pub dijkstra_runs: usize,
     /// Table lookups answered by a warm cache instead of a Dijkstra run.
     pub ar_cache_hits: usize,
     /// Distinct hop-count tables computed for DFS routing bias.
     pub hop_tables: usize,
-    /// Route searches that ran on warm (reused) scratch buffers.
+    /// Searches and runs that started on warm `MapCache` scratch buffers.
     pub scratch_reuses: usize,
     /// Placement proposals whose energy was evaluated (Migration stage
     /// candidate probes plus annealing Metropolis proposals).
@@ -63,14 +66,65 @@ pub struct MapStats {
     /// Randomized rounding: per-guest capacity repairs applied while
     /// sampling (fallbacks away from the sampled host).
     pub repairs: usize,
-    /// Wall-clock spent in placement (Hosting or random placement).
+    /// Wall-clock spent in Hosting phases (placement).
     pub placement_time: Duration,
-    /// Wall-clock spent in the Migration stage.
+    /// Wall-clock spent in Migration phases.
     pub migration_time: Duration,
-    /// Wall-clock spent routing links.
+    /// Wall-clock spent in Networking phases (routing).
     pub networking_time: Duration,
     /// Total wall-clock for the whole `map` call.
     pub total_time: Duration,
+}
+
+impl MapStats {
+    /// Folds a run's recorded phases — `(phase, elapsed, counters)` — into
+    /// the `MapStats` view: each counter is the sum over the phases of its
+    /// `PhaseCounters` namesake (`migrations` ← `moves_accepted`,
+    /// `migrations_rejected` ← `moves_rejected`, `ar_cache_hits` ←
+    /// `cache_hits`), and each phase's time adds to its stage's duration.
+    /// Exact-phase counters have no view here.
+    pub(crate) fn from_phases(
+        attempts: usize,
+        total_time: Duration,
+        phases: &[(Phase, Duration, PhaseCounters)],
+    ) -> MapStats {
+        let mut s = MapStats {
+            attempts,
+            total_time,
+            ..Default::default()
+        };
+        for (phase, elapsed, c) in phases {
+            match phase {
+                Phase::Hosting => s.placement_time += *elapsed,
+                Phase::Migration => s.migration_time += *elapsed,
+                Phase::Networking => s.networking_time += *elapsed,
+                Phase::Exact => {}
+            }
+            let n = |v: u64| v as usize;
+            s.colocation_hits += n(c.colocation_hits);
+            s.first_fit_fallbacks += n(c.first_fit_fallbacks);
+            s.migrations += n(c.moves_accepted);
+            s.migrations_rejected += n(c.moves_rejected);
+            s.dfs_backtracks += n(c.dfs_backtracks);
+            s.routed_links += n(c.routed_links);
+            s.intra_host_links += n(c.intra_host_links);
+            s.astar_expansions += n(c.astar_expansions);
+            s.astar_pushed += n(c.astar_pushed);
+            s.dijkstra_runs += n(c.dijkstra_runs);
+            s.ar_cache_hits += n(c.cache_hits);
+            s.hop_tables += n(c.hop_tables);
+            s.scratch_reuses += n(c.scratch_reuses);
+            s.proposals_evaluated += n(c.proposals_evaluated);
+            s.delta_evaluations += n(c.delta_evaluations);
+            s.full_evaluations += n(c.full_evaluations);
+            s.replica_exchanges += n(c.replica_exchanges);
+            s.exchange_accepts += n(c.exchange_accepts);
+            s.lp_iterations += n(c.lp_iterations);
+            s.rounding_attempts += n(c.rounding_attempts);
+            s.repairs += n(c.repairs);
+        }
+        s
+    }
 }
 
 /// A successful mapping plus its quality and cost metrics.

@@ -2,6 +2,7 @@
 //! the emulator a pool of different heuristics that might be selected
 //! according to the emulated scenario."
 
+use crate::cache::MapCache;
 use crate::error::MapError;
 use crate::mapper::{MapOutcome, Mapper};
 use emumap_model::{PhysicalTopology, VirtualEnvironment};
@@ -66,11 +67,23 @@ impl Mapper for HeuristicPool {
         venv: &VirtualEnvironment,
         rng: &mut dyn RngCore,
     ) -> Result<MapOutcome, MapError> {
+        self.map_with_cache(phys, venv, rng, &mut MapCache::new())
+    }
+
+    /// Runs the members on the caller's cache, so a pool trace is the
+    /// members' own bracketed runs in the order they were tried.
+    fn map_with_cache(
+        &self,
+        phys: &PhysicalTopology,
+        venv: &VirtualEnvironment,
+        rng: &mut dyn RngCore,
+        cache: &mut MapCache,
+    ) -> Result<MapOutcome, MapError> {
         match self.policy {
             PoolPolicy::FirstSuccess => {
                 let mut last_err = None;
                 for m in &self.members {
-                    match m.map(phys, venv, rng) {
+                    match m.map_with_cache(phys, venv, rng, cache) {
                         Ok(out) => return Ok(out),
                         Err(e) => last_err = Some(e),
                     }
@@ -81,7 +94,7 @@ impl Mapper for HeuristicPool {
                 let mut best: Option<MapOutcome> = None;
                 let mut last_err = None;
                 for m in &self.members {
-                    match m.map(phys, venv, rng) {
+                    match m.map_with_cache(phys, venv, rng, cache) {
                         Ok(out) => {
                             let better = best
                                 .as_ref()

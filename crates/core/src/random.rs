@@ -28,25 +28,15 @@ use crate::astar_prune::AStarPruneConfig;
 use crate::cache::MapCache;
 use crate::dfs_routing::naive_dfs_route;
 use crate::error::MapError;
-use crate::hosting::{hosting_stage, links_by_descending_bw};
-use crate::mapper::{MapOutcome, MapStats, Mapper};
-use crate::networking::networking_stage_with;
+use crate::hosting::{links_by_descending_bw, HostingPolicy};
+use crate::mapper::{MapOutcome, Mapper};
+use crate::recorder::RunRecorder;
 use crate::state::PlacementState;
 use emumap_graph::NodeId;
 use emumap_model::{Mapping, PhysicalTopology, Route, VirtualEnvironment};
 use emumap_trace::{LinkVerdict, Phase, PhaseCounters, TraceEvent};
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
-use std::time::Instant;
-
-/// Emits the `MapStart` event shared by all three baselines.
-fn emit_map_start(cache: &mut MapCache, name: &str, venv: &VirtualEnvironment) {
-    cache.trace.emit(|| TraceEvent::MapStart {
-        mapper: name.to_string(),
-        guests: venv.guest_count() as u64,
-        links: venv.link_count() as u64,
-    });
-}
 
 /// Default complete-attempt budget for the retrying baselines (see module
 /// docs for why this is not the paper's literal 100 000).
@@ -77,20 +67,22 @@ fn random_placement(state: &mut PlacementState<'_>, rng: &mut dyn RngCore) -> Re
 /// (mirroring the Networking stage's `ar[]` cache), so they survive not
 /// only the routing pass but every retry attempt and every later trial on
 /// the same topology. Dijkstra consumes no randomness, so the caching is
-/// invisible to the RNG stream and the mapped outcomes.
+/// invisible to the RNG stream and the mapped outcomes. A successful pass
+/// records its routed and intra-host link counts in `counters`.
 fn dfs_routing(
     state: &mut PlacementState<'_>,
     rng: &mut dyn RngCore,
     cache: &mut MapCache,
-) -> Result<(Vec<Route>, usize, usize), MapError> {
+    counters: &mut PhaseCounters,
+) -> Result<Vec<Route>, MapError> {
     let venv = state.venv();
     let phys = state.phys();
     let mut order: Vec<_> = venv.link_ids().collect();
     order.shuffle(rng);
     let mut routes = vec![Route::intra_host(); venv.link_count()];
     let mut committed: Vec<(Vec<emumap_graph::EdgeId>, emumap_model::Kbps)> = Vec::new();
-    let mut routed = 0;
-    let mut intra = 0;
+    let mut routed = 0u64;
+    let mut intra = 0u64;
     let MapCache {
         topo, dfs, trace, ..
     } = cache;
@@ -146,7 +138,9 @@ fn dfs_routing(
             }
         }
     }
-    Ok((routes, routed, intra))
+    counters.routed_links = routed;
+    counters.intra_host_links = intra;
+    Ok(routes)
 }
 
 /// **R** — random placement + DFS routing, whole attempt retried.
@@ -185,53 +179,24 @@ impl Mapper for RandomDfs {
         rng: &mut dyn RngCore,
         cache: &mut MapCache,
     ) -> Result<MapOutcome, MapError> {
-        let start = Instant::now();
-        let runs_before = cache.topo.dijkstra_runs();
-        let hits_before = cache.topo.hits();
-        let reuses_before = cache.dfs.reuses();
-        let backtracks_before = cache.dfs.backtracks();
-        emit_map_start(cache, "R", venv);
+        let mut run = RunRecorder::start_spanless(cache, "R", venv);
         let mut state = PlacementState::new(phys, venv);
         for attempt in 1..=self.max_attempts {
             state.reset();
-            let t_place = Instant::now();
-            if random_placement(&mut state, rng).is_err() {
+            if run
+                .phase(Phase::Hosting, |_, _| random_placement(&mut state, rng))
+                .is_err()
+            {
                 continue;
             }
-            let placement_time = t_place.elapsed();
-            let t_route = Instant::now();
-            match dfs_routing(&mut state, rng, cache) {
-                Ok((routes, routed, intra)) => {
-                    let stats = MapStats {
-                        attempts: attempt,
-                        routed_links: routed,
-                        intra_host_links: intra,
-                        dfs_backtracks: cache.dfs.backtracks() - backtracks_before,
-                        hop_tables: cache.topo.dijkstra_runs() - runs_before,
-                        ar_cache_hits: cache.topo.hits() - hits_before,
-                        scratch_reuses: cache.dfs.reuses() - reuses_before,
-                        placement_time,
-                        networking_time: t_route.elapsed(),
-                        total_time: start.elapsed(),
-                        ..Default::default()
-                    };
-                    let mapping = Mapping::new(state.into_placement(), routes);
-                    let outcome = MapOutcome::new(phys, venv, mapping, stats);
-                    cache.trace.emit(|| TraceEvent::MapEnd {
-                        ok: true,
-                        objective: Some(outcome.objective),
-                        elapsed_us: crate::hmn::elapsed_us(start),
-                    });
-                    return Ok(outcome);
-                }
-                Err(_) => continue,
+            let routed = run.phase(Phase::Networking, |cache, c| {
+                dfs_routing(&mut state, rng, cache, c)
+            });
+            if let Ok(routes) = routed {
+                let mapping = Mapping::new(state.into_placement(), routes);
+                return Ok(run.finish(phys, venv, mapping, attempt));
             }
         }
-        cache.trace.emit(|| TraceEvent::MapEnd {
-            ok: false,
-            objective: None,
-            elapsed_us: crate::hmn::elapsed_us(start),
-        });
         Err(MapError::RetriesExhausted {
             attempts: self.max_attempts,
         })
@@ -277,54 +242,22 @@ impl Mapper for RandomAStar {
         rng: &mut dyn RngCore,
         cache: &mut MapCache,
     ) -> Result<MapOutcome, MapError> {
-        let start = Instant::now();
-        let runs_before = cache.topo.dijkstra_runs();
-        let hits_before = cache.topo.hits();
-        let reuses_before = cache.scratch.reuses();
-        emit_map_start(cache, "RA", venv);
         let links = links_by_descending_bw(venv);
+        let mut run = RunRecorder::start_spanless(cache, "RA", venv);
         let mut state = PlacementState::new(phys, venv);
         for attempt in 1..=self.max_attempts {
             state.reset();
-            let t_place = Instant::now();
-            if random_placement(&mut state, rng).is_err() {
+            if run
+                .phase(Phase::Hosting, |_, _| random_placement(&mut state, rng))
+                .is_err()
+            {
                 continue;
             }
-            let placement_time = t_place.elapsed();
-            let t_route = Instant::now();
-            match networking_stage_with(&mut state, &links, &self.astar, cache) {
-                Ok((routes, net)) => {
-                    let stats = MapStats {
-                        attempts: attempt,
-                        routed_links: net.routed_links,
-                        intra_host_links: net.intra_host_links,
-                        astar_expansions: net.search.expanded,
-                        astar_pushed: net.search.pushed,
-                        dijkstra_runs: cache.topo.dijkstra_runs() - runs_before,
-                        ar_cache_hits: cache.topo.hits() - hits_before,
-                        scratch_reuses: cache.scratch.reuses() - reuses_before,
-                        placement_time,
-                        networking_time: t_route.elapsed(),
-                        total_time: start.elapsed(),
-                        ..Default::default()
-                    };
-                    let mapping = Mapping::new(state.into_placement(), routes);
-                    let outcome = MapOutcome::new(phys, venv, mapping, stats);
-                    cache.trace.emit(|| TraceEvent::MapEnd {
-                        ok: true,
-                        objective: Some(outcome.objective),
-                        elapsed_us: crate::hmn::elapsed_us(start),
-                    });
-                    return Ok(outcome);
-                }
-                Err(_) => continue,
+            if let Ok(routes) = run.networking(&mut state, &links, &self.astar) {
+                let mapping = Mapping::new(state.into_placement(), routes);
+                return Ok(run.finish(phys, venv, mapping, attempt));
             }
         }
-        cache.trace.emit(|| TraceEvent::MapEnd {
-            ok: false,
-            objective: None,
-            elapsed_us: crate::hmn::elapsed_us(start),
-        });
         Err(MapError::RetriesExhausted {
             attempts: self.max_attempts,
         })
@@ -367,86 +300,24 @@ impl Mapper for HostingDfs {
         rng: &mut dyn RngCore,
         cache: &mut MapCache,
     ) -> Result<MapOutcome, MapError> {
-        let start = Instant::now();
-        let runs_before = cache.topo.dijkstra_runs();
-        let hits_before = cache.topo.hits();
-        let reuses_before = cache.dfs.reuses();
-        let backtracks_before = cache.dfs.backtracks();
-        emit_map_start(cache, "HS", venv);
         let links = links_by_descending_bw(venv);
         let mut state = PlacementState::new(phys, venv);
-        cache.trace.emit(|| TraceEvent::PhaseStart {
-            phase: Phase::Hosting,
-        });
-        let t_place = Instant::now();
-        let hosting = match hosting_stage(&mut state, &links) {
-            Ok(h) => h,
-            Err(e) => {
-                // Close the open phase even on failure: trace consumers
-                // rely on PhaseStart/PhaseEnd always being bracketed.
-                cache.trace.emit(|| TraceEvent::PhaseEnd {
-                    phase: Phase::Hosting,
-                    elapsed_us: crate::hmn::elapsed_us(t_place),
-                    counters: PhaseCounters::default(),
-                });
-                cache.trace.emit(|| TraceEvent::MapEnd {
-                    ok: false,
-                    objective: None,
-                    elapsed_us: crate::hmn::elapsed_us(start),
-                });
-                return Err(e);
-            }
-        };
-        let placement_time = t_place.elapsed();
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Hosting,
-            elapsed_us: crate::hmn::elapsed_us(t_place),
-            counters: PhaseCounters {
-                colocation_hits: hosting.colocation_hits as u64,
-                first_fit_fallbacks: hosting.first_fit_fallbacks as u64,
-                ..Default::default()
-            },
-        });
-
-        let t_route = Instant::now();
-        for attempt in 1..=self.max_attempts {
-            match dfs_routing(&mut state, rng, cache) {
-                Ok((routes, routed, intra)) => {
-                    let stats = MapStats {
-                        attempts: attempt,
-                        colocation_hits: hosting.colocation_hits,
-                        first_fit_fallbacks: hosting.first_fit_fallbacks,
-                        routed_links: routed,
-                        intra_host_links: intra,
-                        dfs_backtracks: cache.dfs.backtracks() - backtracks_before,
-                        hop_tables: cache.topo.dijkstra_runs() - runs_before,
-                        ar_cache_hits: cache.topo.hits() - hits_before,
-                        scratch_reuses: cache.dfs.reuses() - reuses_before,
-                        placement_time,
-                        networking_time: t_route.elapsed(),
-                        total_time: start.elapsed(),
-                        ..Default::default()
-                    };
-                    let mapping = Mapping::new(state.into_placement(), routes);
-                    let outcome = MapOutcome::new(phys, venv, mapping, stats);
-                    cache.trace.emit(|| TraceEvent::MapEnd {
-                        ok: true,
-                        objective: Some(outcome.objective),
-                        elapsed_us: crate::hmn::elapsed_us(start),
-                    });
-                    return Ok(outcome);
+        let mut run = RunRecorder::start(cache, "HS", venv);
+        run.hosting(&mut state, &links, HostingPolicy::Paper)?;
+        // Only routing is retried; dfs_routing releases its commitments
+        // on failure, so every attempt starts from the hosted placement.
+        let (routes, attempts) = run.phase(Phase::Networking, |cache, c| {
+            for attempt in 1..=self.max_attempts {
+                if let Ok(routes) = dfs_routing(&mut state, rng, cache, c) {
+                    return Ok((routes, attempt));
                 }
-                Err(_) => continue, // dfs_routing released its commitments
             }
-        }
-        cache.trace.emit(|| TraceEvent::MapEnd {
-            ok: false,
-            objective: None,
-            elapsed_us: crate::hmn::elapsed_us(start),
-        });
-        Err(MapError::RetriesExhausted {
-            attempts: self.max_attempts,
-        })
+            Err(MapError::RetriesExhausted {
+                attempts: self.max_attempts,
+            })
+        })?;
+        let mapping = Mapping::new(state.into_placement(), routes);
+        Ok(run.finish(phys, venv, mapping, attempts))
     }
 }
 

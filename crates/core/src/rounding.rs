@@ -42,18 +42,16 @@
 use crate::astar_prune::AStarPruneConfig;
 use crate::cache::{ArTables, MapCache, RoundingScratch};
 use crate::error::MapError;
-use crate::hmn::elapsed_us;
 use crate::hosting::links_by_descending_bw;
-use crate::mapper::{MapOutcome, MapStats, Mapper};
-use crate::migration::{migration_stage, migration_stage_exhaustive, MigrationPolicy};
-use crate::networking::networking_stage_with;
+use crate::mapper::{MapOutcome, Mapper};
+use crate::migration::MigrationPolicy;
 use crate::random::DEFAULT_MAX_ATTEMPTS;
+use crate::recorder::RunRecorder;
 use crate::state::PlacementState;
 use emumap_graph::algo::dijkstra;
 use emumap_model::{Mapping, PhysicalTopology, VirtualEnvironment};
-use emumap_trace::{Phase, PhaseCounters, TraceEvent};
+use emumap_trace::Phase;
 use rand::{Rng, RngCore};
-use std::time::Instant;
 
 /// Feasibility slack when comparing latency lower bounds against Eq. 8
 /// bounds (mirrors the validator's tolerance).
@@ -410,165 +408,50 @@ impl Mapper for RandomizedRounding {
         rng: &mut dyn RngCore,
         cache: &mut MapCache,
     ) -> Result<MapOutcome, MapError> {
-        let start = Instant::now();
-        let mut stats = MapStats::default();
         let mut state = PlacementState::new(phys, venv);
-        cache.trace.emit(|| TraceEvent::MapStart {
-            mapper: "RR".to_string(),
-            guests: venv.guest_count() as u64,
-            links: venv.link_count() as u64,
-        });
+        let mut run = RunRecorder::start(cache, "RR", venv);
 
         // Stage 1 (Hosting span): fractional solve + seeded rounding.
-        cache.trace.emit(|| TraceEvent::PhaseStart {
-            phase: Phase::Hosting,
-        });
-        let t = Instant::now();
-        cache.topo.prepare(phys);
-        cache.rounding.begin();
-        let hosting_counters = |lp: u64, run: &RoundingRun| PhaseCounters {
-            lp_iterations: lp,
-            rounding_attempts: run.attempts,
-            repairs: run.repairs,
-            ..Default::default()
-        };
-        let close_failed = |cache: &mut MapCache, counters: PhaseCounters, t: Instant| {
-            cache.trace.emit(|| TraceEvent::PhaseEnd {
-                phase: Phase::Hosting,
-                elapsed_us: elapsed_us(t),
-                counters,
-            });
-            cache.trace.emit(|| TraceEvent::MapEnd {
-                ok: false,
-                objective: None,
-                elapsed_us: elapsed_us(start),
-            });
-        };
-        if let Err(e) = init_candidates(phys, venv, &mut cache.rounding) {
-            close_failed(cache, PhaseCounters::default(), t);
-            return Err(e);
-        }
-        let lp = solve_fractional(
-            &self.config,
-            phys,
-            venv,
-            &mut cache.topo,
-            &mut cache.rounding,
-        );
-        let run = round_placement(
-            &self.config,
-            phys,
-            venv,
-            rng,
-            &mut cache.topo,
-            &mut cache.rounding,
-            &mut state,
-        );
-        stats.attempts = run.attempts as usize;
-        stats.lp_iterations = lp as usize;
-        stats.rounding_attempts = run.attempts as usize;
-        stats.repairs = run.repairs as usize;
-        stats.placement_time = t.elapsed();
-        if !run.placed {
-            close_failed(cache, hosting_counters(lp, &run), t);
-            return Err(MapError::RetriesExhausted {
-                attempts: run.attempts as usize,
-            });
-        }
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Hosting,
-            elapsed_us: elapsed_us(t),
-            counters: hosting_counters(lp, &run),
-        });
+        let attempts = run.phase(Phase::Hosting, |cache, c| {
+            cache.topo.prepare(phys);
+            cache.rounding.begin();
+            init_candidates(phys, venv, &mut cache.rounding)?;
+            let lp = solve_fractional(
+                &self.config,
+                phys,
+                venv,
+                &mut cache.topo,
+                &mut cache.rounding,
+            );
+            let rounded = round_placement(
+                &self.config,
+                phys,
+                venv,
+                rng,
+                &mut cache.topo,
+                &mut cache.rounding,
+                &mut state,
+            );
+            c.lp_iterations = lp;
+            c.rounding_attempts = rounded.attempts;
+            c.repairs = rounded.repairs;
+            if rounded.placed {
+                Ok(rounded.attempts as usize)
+            } else {
+                Err(MapError::RetriesExhausted {
+                    attempts: rounded.attempts as usize,
+                })
+            }
+        })?;
 
         // Stage 2 (Migration span): balance the rounded placement.
-        if self.config.migration != MigrationPolicy::Off {
-            cache.trace.emit(|| TraceEvent::PhaseStart {
-                phase: Phase::Migration,
-            });
-            let t = Instant::now();
-            let delta_evals_before = state.delta_evaluations();
-            let full_evals_before = state.full_evaluations();
-            let m = match self.config.migration {
-                MigrationPolicy::Paper => migration_stage(&mut state),
-                MigrationPolicy::Exhaustive => migration_stage_exhaustive(&mut state),
-                MigrationPolicy::Off => unreachable!("guarded above"),
-            };
-            let delta_evaluations = state.delta_evaluations() - delta_evals_before;
-            let full_evaluations = state.full_evaluations() - full_evals_before;
-            stats.migrations = m.migrations;
-            stats.migrations_rejected = m.rejected;
-            stats.proposals_evaluated = m.proposals_evaluated;
-            stats.delta_evaluations = delta_evaluations as usize;
-            stats.full_evaluations = full_evaluations as usize;
-            stats.migration_time = t.elapsed();
-            cache.trace.emit(|| TraceEvent::PhaseEnd {
-                phase: Phase::Migration,
-                elapsed_us: elapsed_us(t),
-                counters: PhaseCounters {
-                    moves_accepted: m.migrations as u64,
-                    moves_rejected: m.rejected as u64,
-                    proposals_evaluated: m.proposals_evaluated as u64,
-                    delta_evaluations,
-                    full_evaluations,
-                    ..Default::default()
-                },
-            });
-        }
+        run.migration(&mut state, self.config.migration);
 
         // Stage 3 (Networking span): A*Prune routes every link.
-        cache.trace.emit(|| TraceEvent::PhaseStart {
-            phase: Phase::Networking,
-        });
-        let t = Instant::now();
         let links = links_by_descending_bw(venv);
-        let reuses_before = cache.scratch.reuses();
-        let net_result = networking_stage_with(&mut state, &links, &self.config.astar, cache);
-        let (routes, net) = match net_result {
-            Ok(ok) => ok,
-            Err(e) => {
-                cache.trace.emit(|| TraceEvent::PhaseEnd {
-                    phase: Phase::Networking,
-                    elapsed_us: elapsed_us(t),
-                    counters: PhaseCounters::default(),
-                });
-                cache.trace.emit(|| TraceEvent::MapEnd {
-                    ok: false,
-                    objective: None,
-                    elapsed_us: elapsed_us(start),
-                });
-                return Err(e);
-            }
-        };
-        stats.networking_time = t.elapsed();
-        stats.routed_links = net.routed_links;
-        stats.intra_host_links = net.intra_host_links;
-        stats.astar_expansions = net.search.expanded;
-        stats.astar_pushed = net.search.pushed;
-        stats.dijkstra_runs = net.dijkstra_runs;
-        stats.ar_cache_hits = net.ar_cache_hits;
-        stats.scratch_reuses = cache.scratch.reuses() - reuses_before;
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Networking,
-            elapsed_us: elapsed_us(t),
-            counters: PhaseCounters {
-                astar_expansions: net.search.expanded as u64,
-                astar_pushed: net.search.pushed as u64,
-                dijkstra_runs: net.dijkstra_runs as u64,
-                cache_hits: net.ar_cache_hits as u64,
-                ..Default::default()
-            },
-        });
-
+        let routes = run.networking(&mut state, &links, &self.config.astar)?;
         let mapping = Mapping::new(state.into_placement(), routes);
-        stats.total_time = start.elapsed();
-        let outcome = MapOutcome::new(phys, venv, mapping, stats);
-        cache.trace.emit(|| TraceEvent::MapEnd {
-            ok: true,
-            objective: Some(outcome.objective),
-            elapsed_us: elapsed_us(start),
-        });
-        Ok(outcome)
+        Ok(run.finish(phys, venv, mapping, attempts))
     }
 }
 
@@ -678,7 +561,7 @@ mod tests {
 
     #[test]
     fn rr_emits_bracketed_phase_spans_with_rounding_counters() {
-        use emumap_trace::{EventSink, Tracer};
+        use emumap_trace::{EventSink, TraceEvent, Tracer};
         use std::sync::{Arc, Mutex};
 
         struct Capture(Arc<Mutex<Vec<TraceEvent>>>);

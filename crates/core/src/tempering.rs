@@ -29,17 +29,16 @@ use crate::astar_prune::AStarPruneConfig;
 use crate::cache::MapCache;
 use crate::error::MapError;
 use crate::hosting::{hosting_stage, links_by_descending_bw};
-use crate::mapper::{MapOutcome, MapStats, Mapper};
+use crate::mapper::{MapOutcome, Mapper};
 use crate::migration::migration_stage;
-use crate::networking::networking_stage_with;
 use crate::parallel::ParallelRunner;
+use crate::recorder::RunRecorder;
 use crate::state::PlacementState;
 use emumap_graph::NodeId;
 use emumap_model::{GuestId, Mapping, PhysicalTopology, VirtualEnvironment};
-use emumap_trace::{Phase, PhaseCounters, TraceEvent};
+use emumap_trace::Phase;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::time::Instant;
 
 /// Parallel-tempering configuration. The default ladder (8 replicas x
 /// 50 rounds x 50 proposals) evaluates 20 000 proposals in total — the
@@ -201,13 +200,8 @@ impl Mapper for ParallelTempering {
     ) -> Result<MapOutcome, MapError> {
         let cfg = &self.config;
         assert!(cfg.replicas >= 1, "at least one replica required");
-        let start = Instant::now();
         let links = links_by_descending_bw(venv);
-        cache.trace.emit(|| TraceEvent::MapStart {
-            mapper: "PT".into(),
-            guests: venv.guest_count() as u64,
-            links: venv.link_count() as u64,
-        });
+        let mut run = RunRecorder::start(cache, "PT", venv);
         // One draw from the caller's RNG keys the entire run: replica
         // proposal streams and the swap stream all derive from it, so the
         // mapper remains a pure function of (phys, venv, seed).
@@ -216,43 +210,17 @@ impl Mapper for ParallelTempering {
         let guest_count = venv.guest_count();
 
         // --- Seed placement (shared by every replica when hosting-seeded).
-        let t_place = Instant::now();
-        cache.trace.emit(|| TraceEvent::PhaseStart {
-            phase: Phase::Hosting,
-        });
-        let mut hosting_counters = PhaseCounters::default();
-        let seed_placement: Option<Vec<NodeId>> = if cfg.seed_with_hosting {
+        let seed_placement = run.phase(Phase::Hosting, |_, c| {
+            if !cfg.seed_with_hosting {
+                return Ok(None);
+            }
             let mut state = PlacementState::new(phys, venv);
-            let h = match hosting_stage(&mut state, &links) {
-                Ok(h) => h,
-                Err(e) => {
-                    // Close the open phase even on failure: trace
-                    // consumers rely on bracketed PhaseStart/PhaseEnd.
-                    cache.trace.emit(|| TraceEvent::PhaseEnd {
-                        phase: Phase::Hosting,
-                        elapsed_us: crate::hmn::elapsed_us(t_place),
-                        counters: PhaseCounters::default(),
-                    });
-                    cache.trace.emit(|| TraceEvent::MapEnd {
-                        ok: false,
-                        objective: None,
-                        elapsed_us: crate::hmn::elapsed_us(start),
-                    });
-                    return Err(e);
-                }
-            };
-            hosting_counters.colocation_hits = h.colocation_hits as u64;
-            hosting_counters.first_fit_fallbacks = h.first_fit_fallbacks as u64;
+            let h = hosting_stage(&mut state, &links)?;
+            c.colocation_hits = h.colocation_hits as u64;
+            c.first_fit_fallbacks = h.first_fit_fallbacks as u64;
             migration_stage(&mut state);
-            Some(state.into_placement())
-        } else {
-            None
-        };
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Hosting,
-            elapsed_us: crate::hmn::elapsed_us(t_place),
-            counters: hosting_counters,
-        });
+            Ok(Some(state.into_placement()))
+        })?;
 
         // --- Build the ladder.
         let bw_scale = {
@@ -285,11 +253,6 @@ impl Mapper for ParallelTempering {
                         fitting.clear();
                         fitting.extend(hosts.iter().copied().filter(|&h| state.fits(g, h)));
                         if fitting.is_empty() {
-                            cache.trace.emit(|| TraceEvent::MapEnd {
-                                ok: false,
-                                objective: None,
-                                elapsed_us: crate::hmn::elapsed_us(start),
-                            });
                             return Err(MapError::HostingFailed { guest: g });
                         }
                         let pick = fitting[replica_rng.gen_range(0..fitting.len())];
@@ -336,86 +299,71 @@ impl Mapper for ParallelTempering {
         }
 
         // --- Temper.
-        let t_anneal = Instant::now();
-        cache.trace.emit(|| TraceEvent::PhaseStart {
-            phase: Phase::Migration,
-        });
-        let runner = ParallelRunner::new(cfg.threads.min(cfg.replicas.max(1)));
-        let mut swap_rng = SmallRng::seed_from_u64(master_seed.wrapping_add(0xA076_1D64_78BD_642F));
-        let mut replica_exchanges = 0usize;
-        let mut exchange_accepts = 0usize;
-        let delta_evals_before: u64 = replicas.iter().map(|r| r.state.delta_evaluations()).sum();
-        let full_evals_before: u64 = replicas.iter().map(|r| r.state.full_evaluations()).sum();
-        for round in 0..cfg.rounds {
-            replicas = runner.run(replicas, |mut r, _cache| {
-                r.run_round(
-                    &hosts,
-                    cfg.iterations_per_round,
-                    bw_enabled,
-                    cfg.bandwidth_weight,
-                    bw_scale,
-                );
-                r
-            });
-            // Exchange temperatures between adjacent rungs, alternating
-            // even/odd pairing per round so every neighbor pair is tried.
-            // The swap RNG is consumed strictly sequentially here on the
-            // coordinator — one draw per attempt, accepted or not — so the
-            // decision stream never depends on worker scheduling.
-            let mut k = round % 2;
-            while k + 1 < replicas.len() {
-                replica_exchanges += 1;
-                let u = swap_rng.gen::<f64>();
-                let (ti, tj) = (replicas[k].temperature, replicas[k + 1].temperature);
-                let (ei, ej) = (replicas[k].energy, replicas[k + 1].energy);
-                let log_accept = (1.0 / ti - 1.0 / tj) * (ei - ej);
-                if log_accept >= 0.0 || u < log_accept.exp() {
-                    exchange_accepts += 1;
-                    replicas[k].temperature = tj;
-                    replicas[k + 1].temperature = ti;
+        let best_placement = run.phase(Phase::Migration, |_, c| {
+            let runner = ParallelRunner::new(cfg.threads.min(cfg.replicas.max(1)));
+            let mut swap_rng =
+                SmallRng::seed_from_u64(master_seed.wrapping_add(0xA076_1D64_78BD_642F));
+            let evaluations = |replicas: &[Replica<'_>]| -> (u64, u64) {
+                replicas.iter().fold((0, 0), |(d, f), r| {
+                    (
+                        d + r.state.delta_evaluations(),
+                        f + r.state.full_evaluations(),
+                    )
+                })
+            };
+            let (delta_before, full_before) = evaluations(&replicas);
+            for round in 0..cfg.rounds {
+                replicas = runner.run(replicas, |mut r, _cache| {
+                    r.run_round(
+                        &hosts,
+                        cfg.iterations_per_round,
+                        bw_enabled,
+                        cfg.bandwidth_weight,
+                        bw_scale,
+                    );
+                    r
+                });
+                // Exchange temperatures between adjacent rungs, alternating
+                // even/odd pairing per round so every neighbor pair is
+                // tried. The swap RNG is consumed strictly sequentially
+                // here on the coordinator — one draw per attempt, accepted
+                // or not — so the decision stream never depends on worker
+                // scheduling.
+                let mut k = round % 2;
+                while k + 1 < replicas.len() {
+                    c.replica_exchanges += 1;
+                    let u = swap_rng.gen::<f64>();
+                    let (ti, tj) = (replicas[k].temperature, replicas[k + 1].temperature);
+                    let (ei, ej) = (replicas[k].energy, replicas[k + 1].energy);
+                    let log_accept = (1.0 / ti - 1.0 / tj) * (ei - ej);
+                    if log_accept >= 0.0 || u < log_accept.exp() {
+                        c.exchange_accepts += 1;
+                        replicas[k].temperature = tj;
+                        replicas[k + 1].temperature = ti;
+                    }
+                    k += 2;
                 }
-                k += 2;
             }
-        }
-        let delta_evaluations: u64 = replicas
-            .iter()
-            .map(|r| r.state.delta_evaluations())
-            .sum::<u64>()
-            - delta_evals_before;
-        let full_evaluations: u64 = replicas
-            .iter()
-            .map(|r| r.state.full_evaluations())
-            .sum::<u64>()
-            - full_evals_before;
-        let accepted: usize = replicas.iter().map(|r| r.accepted).sum();
-        let rejected: usize = replicas.iter().map(|r| r.rejected).sum();
-        let proposals: usize = replicas.iter().map(|r| r.proposals).sum();
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Migration,
-            elapsed_us: crate::hmn::elapsed_us(t_anneal),
-            counters: PhaseCounters {
-                moves_accepted: accepted as u64,
-                moves_rejected: rejected as u64,
-                proposals_evaluated: proposals as u64,
-                delta_evaluations,
-                full_evaluations,
-                replica_exchanges: replica_exchanges as u64,
-                exchange_accepts: exchange_accepts as u64,
-                ..Default::default()
-            },
+            let (delta_after, full_after) = evaluations(&replicas);
+            c.delta_evaluations = delta_after - delta_before;
+            c.full_evaluations = full_after - full_before;
+            for r in &replicas {
+                c.moves_accepted += r.accepted as u64;
+                c.moves_rejected += r.rejected as u64;
+                c.proposals_evaluated += r.proposals as u64;
+            }
+            // The global best; ties break toward the coldest-built
+            // (lowest-index) replica for determinism.
+            let best = replicas
+                .iter()
+                .enumerate()
+                .min_by(|(_, a), (_, b)| a.best_energy.total_cmp(&b.best_energy))
+                .map(|(i, _)| i)
+                .expect("at least one replica");
+            std::mem::take(&mut replicas[best].best_placement)
         });
-        let placement_time = t_place.elapsed();
 
-        // --- Route the global best. Ties break toward the coldest-built
-        // (lowest-index) replica for determinism.
-        let best = replicas
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.best_energy.total_cmp(&b.best_energy))
-            .map(|(i, _)| i)
-            .expect("at least one replica");
-        let best_placement = std::mem::take(&mut replicas[best].best_placement);
-        drop(replicas);
+        // --- Route the global best.
         let mut state = PlacementState::new(phys, venv);
         for (i, &h) in best_placement.iter().enumerate() {
             state
@@ -423,67 +371,8 @@ impl Mapper for ParallelTempering {
                 .expect("best placement was feasible when recorded");
         }
         debug_assert_eq!(state.assigned_count(), guest_count);
-
-        let t_route = Instant::now();
-        let route_reuses_before = cache.scratch.reuses();
-        cache.trace.emit(|| TraceEvent::PhaseStart {
-            phase: Phase::Networking,
-        });
-        let (routes, net) = match networking_stage_with(&mut state, &links, &cfg.astar, cache) {
-            Ok(r) => r,
-            Err(e) => {
-                cache.trace.emit(|| TraceEvent::PhaseEnd {
-                    phase: Phase::Networking,
-                    elapsed_us: crate::hmn::elapsed_us(t_route),
-                    counters: PhaseCounters::default(),
-                });
-                cache.trace.emit(|| TraceEvent::MapEnd {
-                    ok: false,
-                    objective: None,
-                    elapsed_us: crate::hmn::elapsed_us(start),
-                });
-                return Err(e);
-            }
-        };
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Networking,
-            elapsed_us: crate::hmn::elapsed_us(t_route),
-            counters: PhaseCounters {
-                astar_expansions: net.search.expanded as u64,
-                astar_pushed: net.search.pushed as u64,
-                dijkstra_runs: net.dijkstra_runs as u64,
-                cache_hits: net.ar_cache_hits as u64,
-                ..Default::default()
-            },
-        });
-        let stats = MapStats {
-            attempts: 1,
-            migrations: accepted,
-            migrations_rejected: rejected,
-            routed_links: net.routed_links,
-            intra_host_links: net.intra_host_links,
-            astar_expansions: net.search.expanded,
-            dijkstra_runs: net.dijkstra_runs,
-            ar_cache_hits: net.ar_cache_hits,
-            scratch_reuses: cache.scratch.reuses() - route_reuses_before,
-            proposals_evaluated: proposals,
-            delta_evaluations: delta_evaluations as usize,
-            full_evaluations: full_evaluations as usize,
-            replica_exchanges,
-            exchange_accepts,
-            placement_time,
-            networking_time: t_route.elapsed(),
-            total_time: start.elapsed(),
-            ..Default::default()
-        };
-        let mapping = Mapping::new(state.into_placement(), routes);
-        let outcome = MapOutcome::new(phys, venv, mapping, stats);
-        cache.trace.emit(|| TraceEvent::MapEnd {
-            ok: true,
-            objective: Some(outcome.objective),
-            elapsed_us: crate::hmn::elapsed_us(start),
-        });
-        Ok(outcome)
+        let routes = run.networking(&mut state, &links, &cfg.astar)?;
+        Ok(run.finish(phys, venv, Mapping::new(state.into_placement(), routes), 1))
     }
 }
 

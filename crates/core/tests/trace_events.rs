@@ -8,8 +8,8 @@
 //! sequences once the volatile fields (wall-clock timings and
 //! cache-warmth counters) are redacted.
 
-use emumap_core::{Hmn, MapCache, Mapper};
-use emumap_trace::{EventSink, Phase, TraceEvent, Tracer};
+use emumap_core::{build_mapper, Hmn, MapCache, MapStats, Mapper, MapperConfig, MAPPERS};
+use emumap_trace::{EventSink, Phase, PhaseCounters, TraceEvent, Tracer};
 use emumap_workloads::{instantiate, ClusterSpec, Scenario, WorkloadKind};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -238,49 +238,175 @@ fn hmn_trace_has_all_three_phase_spans_and_per_link_outcomes() {
     }
 }
 
+/// More memory demanded than the cluster has, though every guest fits a
+/// host on its own: each mapper takes its error exit (Hosting, rounding
+/// or retry exhaustion).
+fn memory_infeasible_instance() -> (
+    emumap_model::PhysicalTopology,
+    emumap_model::VirtualEnvironment,
+) {
+    use emumap_model::{
+        GuestSpec, HostSpec, Kbps, LinkSpec, MemMb, Millis, Mips, PhysicalTopology, StorGb,
+        VLinkSpec, VirtualEnvironment, VmmOverhead,
+    };
+    let phys = PhysicalTopology::from_shape(
+        &emumap_graph::generators::line(2),
+        std::iter::repeat(HostSpec::new(Mips(1000.0), MemMb(1024), StorGb(100.0))),
+        LinkSpec::new(Kbps(1000.0), Millis(5.0)),
+        VmmOverhead::NONE,
+    );
+    let mut venv = VirtualEnvironment::new();
+    let guests: Vec<_> = (0..5)
+        .map(|_| venv.add_guest(GuestSpec::new(Mips(10.0), MemMb(512), StorGb(1.0))))
+        .collect();
+    for pair in guests.windows(2) {
+        venv.add_link(pair[0], pair[1], VLinkSpec::new(Kbps(10.0), Millis(60.0)));
+    }
+    (phys, venv)
+}
+
+/// A `MapStats` counter's name and value, with the `PhaseCounters` field
+/// it is the per-run sum of.
+type CounterView = (&'static str, usize, fn(&PhaseCounters) -> u64);
+
+fn counter_views(stats: &MapStats) -> Vec<CounterView> {
+    vec![
+        ("colocation_hits", stats.colocation_hits, |c| {
+            c.colocation_hits
+        }),
+        ("first_fit_fallbacks", stats.first_fit_fallbacks, |c| {
+            c.first_fit_fallbacks
+        }),
+        ("migrations", stats.migrations, |c| c.moves_accepted),
+        ("migrations_rejected", stats.migrations_rejected, |c| {
+            c.moves_rejected
+        }),
+        ("dfs_backtracks", stats.dfs_backtracks, |c| c.dfs_backtracks),
+        ("routed_links", stats.routed_links, |c| c.routed_links),
+        ("intra_host_links", stats.intra_host_links, |c| {
+            c.intra_host_links
+        }),
+        ("astar_expansions", stats.astar_expansions, |c| {
+            c.astar_expansions
+        }),
+        ("astar_pushed", stats.astar_pushed, |c| c.astar_pushed),
+        ("dijkstra_runs", stats.dijkstra_runs, |c| c.dijkstra_runs),
+        ("ar_cache_hits", stats.ar_cache_hits, |c| c.cache_hits),
+        ("hop_tables", stats.hop_tables, |c| c.hop_tables),
+        ("scratch_reuses", stats.scratch_reuses, |c| c.scratch_reuses),
+        ("proposals_evaluated", stats.proposals_evaluated, |c| {
+            c.proposals_evaluated
+        }),
+        ("delta_evaluations", stats.delta_evaluations, |c| {
+            c.delta_evaluations
+        }),
+        ("full_evaluations", stats.full_evaluations, |c| {
+            c.full_evaluations
+        }),
+        ("replica_exchanges", stats.replica_exchanges, |c| {
+            c.replica_exchanges
+        }),
+        ("exchange_accepts", stats.exchange_accepts, |c| {
+            c.exchange_accepts
+        }),
+        ("lp_iterations", stats.lp_iterations, |c| c.lp_iterations),
+        ("rounding_attempts", stats.rounding_attempts, |c| {
+            c.rounding_attempts
+        }),
+        ("repairs", stats.repairs, |c| c.repairs),
+    ]
+}
+
+/// Checks one `MapStart..MapEnd` run and returns its `PhaseEnd` counters.
+fn check_run(label: &str, run: &[TraceEvent]) -> Vec<PhaseCounters> {
+    assert!(
+        matches!(run.first(), Some(TraceEvent::MapStart { .. })),
+        "{label}: run should open with MapStart"
+    );
+    assert!(
+        matches!(run.last(), Some(TraceEvent::MapEnd { .. })),
+        "{label}: run should close with MapEnd, got {:?}",
+        run.last()
+    );
+    let mut open = None;
+    let mut ends = Vec::new();
+    for e in run {
+        match e {
+            TraceEvent::PhaseStart { phase } => {
+                assert_eq!(open, None, "{label}: {phase:?} opened inside a phase");
+                open = Some(*phase);
+            }
+            TraceEvent::PhaseEnd {
+                phase, counters, ..
+            } => {
+                assert_eq!(open, Some(*phase), "{label}: unmatched PhaseEnd");
+                open = None;
+                ends.push(*counters);
+            }
+            TraceEvent::MapEnd { .. } => {
+                assert_eq!(open, None, "{label}: MapEnd with {open:?} still open")
+            }
+            _ => {}
+        }
+    }
+    ends
+}
+
 #[test]
 fn every_traced_mapper_brackets_its_run_with_map_start_and_end() {
-    use emumap_core::{
-        Annealing, BestFit, FirstFitDecreasing, HmnKsp, HostingDfs, RandomAStar, RandomDfs,
-        WorstFit,
-    };
-    let (phys, venv) = paper_instance();
-    let mappers: Vec<Box<dyn Mapper>> = vec![
-        Box::new(Hmn::new()),
-        Box::new(HmnKsp::default()),
-        Box::new(RandomDfs { max_attempts: 200 }),
-        Box::new(RandomAStar {
-            max_attempts: 200,
-            ..Default::default()
-        }),
-        Box::new(HostingDfs { max_attempts: 200 }),
-        Box::new(FirstFitDecreasing::default()),
-        Box::new(BestFit::default()),
-        Box::new(WorstFit::default()),
-        Box::new(Annealing {
-            config: emumap_core::AnnealingConfig {
-                iterations: 500,
-                ..Default::default()
-            },
-        }),
+    let config = MapperConfig { max_attempts: 20 };
+    let inputs = [
+        ("paper", paper_instance()),
+        ("memory-infeasible", memory_infeasible_instance()),
     ];
-    for mapper in mappers {
-        let mut cache = MapCache::new();
-        let (events, tracer) = shared_sink();
-        cache.trace = tracer;
-        let result =
-            mapper.map_with_cache(&phys, &venv, &mut SmallRng::seed_from_u64(7), &mut cache);
-        let events = events.lock().unwrap();
-        assert!(
-            matches!(events.first(), Some(TraceEvent::MapStart { .. })),
-            "{} should open with MapStart",
-            mapper.name()
-        );
-        match events.last() {
-            Some(TraceEvent::MapEnd { ok, .. }) => {
-                assert_eq!(*ok, result.is_ok(), "{} MapEnd.ok mismatch", mapper.name())
+    for (input, (phys, venv)) in &inputs {
+        for entry in MAPPERS {
+            let mapper = build_mapper(entry.key, &config).expect("registered");
+            let label = format!("{} on {input}", entry.key);
+            let mut cache = MapCache::new();
+            let (events, tracer) = shared_sink();
+            cache.trace = tracer;
+            let result =
+                mapper.map_with_cache(phys, venv, &mut SmallRng::seed_from_u64(7), &mut cache);
+            let events = events.lock().unwrap();
+            if *input == "memory-infeasible" {
+                assert!(result.is_err(), "{label}: mapped an infeasible instance");
             }
-            other => panic!("{} should close with MapEnd, got {other:?}", mapper.name()),
+
+            // A pool trace is its members' runs back to back.
+            let mut runs: Vec<&[TraceEvent]> = Vec::new();
+            let mut begin = 0;
+            for (i, e) in events.iter().enumerate() {
+                if let TraceEvent::MapEnd { ok, .. } = e {
+                    let last = i + 1 == events.len();
+                    assert!(
+                        *ok == (last && result.is_ok()),
+                        "{label}: MapEnd.ok mismatch"
+                    );
+                    runs.push(&events[begin..=i]);
+                    begin = i + 1;
+                }
+            }
+            assert!(!runs.is_empty(), "{label}: no MapStart..MapEnd run");
+            assert_eq!(begin, events.len(), "{label}: events after the last MapEnd");
+            let ends: Vec<Vec<PhaseCounters>> = runs.iter().map(|r| check_run(&label, r)).collect();
+
+            // The winning run's phases add up to the returned statistics
+            // (R and RA re-place guests per attempt and emit no spans).
+            let (Ok(outcome), Some(ends)) = (&result, ends.last()) else {
+                continue;
+            };
+            if ends.is_empty() {
+                assert!(
+                    ["r", "ra"].contains(&entry.key),
+                    "{label}: run has no phases"
+                );
+                continue;
+            }
+            for (name, stat, field) in counter_views(&outcome.stats) {
+                let sum: u64 = ends.iter().map(field).sum();
+                assert_eq!(stat as u64, sum, "{label}: MapStats::{name} vs trace");
+            }
         }
     }
 }

@@ -45,8 +45,10 @@ pub enum Phase {
     Exact,
 }
 
-/// Counters snapshotted into a [`TraceEvent::PhaseEnd`]. All fields
-/// default to zero; each phase fills only the ones it owns.
+/// Counters snapshotted into a [`TraceEvent::PhaseEnd`] — the pipeline's
+/// one counter vocabulary (a mapper's `MapStats` is the sum of its
+/// phases' counters). All fields default to zero; each phase fills only
+/// the ones it owns.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseCounters {
     /// Hosting: link endpoints placed together on one host.
@@ -76,12 +78,23 @@ pub struct PhaseCounters {
     pub astar_pushed: u64,
     /// Networking: DFS backtrack steps (baseline mappers).
     pub dfs_backtracks: u64,
-    /// Networking: `ar[]` table misses — Dijkstra runs the `MapCache`
-    /// could not avoid. Volatile: depends on cache warmth.
+    /// Networking: virtual links routed over the physical network.
+    pub routed_links: u64,
+    /// Networking: virtual links whose endpoints share a host.
+    pub intra_host_links: u64,
+    /// Latency `ar[]` table misses — Dijkstra runs the `MapCache` could
+    /// not avoid. Volatile: depends on cache warmth.
     pub dijkstra_runs: u64,
-    /// Networking: `ar[]` table hits served by the `MapCache`.
+    /// Hop-count table misses of the DFS baselines' neighbor bias.
+    /// Volatile: depends on cache warmth.
+    pub hop_tables: u64,
+    /// Table lookups (`ar[]` or hop-count) served by the `MapCache`.
     /// Volatile: depends on cache warmth.
     pub cache_hits: u64,
+    /// Searches and runs that started on warm `MapCache` scratch buffers
+    /// (A\*Prune, DFS, annealing, rounding). Volatile: depends on cache
+    /// warmth.
+    pub scratch_reuses: u64,
     /// Exact: branch-and-bound search nodes expanded. Deterministic —
     /// the search order is a pure function of the instance.
     pub exact_nodes_expanded: u64,
@@ -141,7 +154,9 @@ impl PhaseCounters {
     /// Copy with the cache-warmth-dependent fields zeroed.
     pub fn redact_volatile(mut self) -> PhaseCounters {
         self.dijkstra_runs = 0;
+        self.hop_tables = 0;
         self.cache_hits = 0;
+        self.scratch_reuses = 0;
         self
     }
 }
@@ -550,8 +565,11 @@ mod tests {
             elapsed_us: 1234,
             counters: PhaseCounters {
                 astar_expansions: 7,
+                routed_links: 5,
                 dijkstra_runs: 3,
+                hop_tables: 2,
                 cache_hits: 9,
+                scratch_reuses: 4,
                 ..Default::default()
             },
         }
@@ -629,8 +647,11 @@ mod tests {
             } => {
                 assert_eq!(elapsed_us, 0);
                 assert_eq!(counters.dijkstra_runs, 0);
+                assert_eq!(counters.hop_tables, 0);
                 assert_eq!(counters.cache_hits, 0);
+                assert_eq!(counters.scratch_reuses, 0);
                 assert_eq!(counters.astar_expansions, 7, "decision counters survive");
+                assert_eq!(counters.routed_links, 5);
             }
             other => panic!("unexpected: {other:?}"),
         }

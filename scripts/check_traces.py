@@ -9,9 +9,13 @@ file this asserts the structural contract CI relies on:
 
   * the file is non-empty and every line is a JSON object with exactly one
     recognized event tag;
-  * the stream opens with MapStart and closes with MapEnd;
+  * the stream is one or more mapper runs back to back (a pool trace
+    holds every member run the pool tried, in order); each run opens
+    with MapStart and closes with MapEnd, and every rule below applies
+    to each run on its own;
   * PhaseStart/PhaseEnd pairs are properly bracketed (no overlap, End
-    matches the open phase) and phases appear in pipeline order;
+    matches the open phase, every phase closed before the run's MapEnd)
+    and phases appear in pipeline order within the run;
   * PhaseEnd carries non-negative integer timings and counters;
   * a Migration PhaseEnd satisfies the delta-evaluation invariant:
     every evaluated proposal performs at least one incremental probe, so
@@ -139,12 +143,26 @@ def check_file(path: pathlib.Path) -> list[str]:
 
 
 def check_map_stream(path: pathlib.Path, events: list) -> list[str]:
+    """Mapper runs back to back, split at each MapStart and checked one by
+    one, so the pipeline order restarts with every run."""
+    runs: list = []
+    for event in events:
+        if event[1] == "MapStart" or not runs:
+            runs.append([])
+        runs[-1].append(event)
+    errors: list[str] = []
+    for run in runs:
+        errors.extend(check_map_run(path, run))
+    return errors
+
+
+def check_map_run(path: pathlib.Path, events: list) -> list[str]:
     """One mapper run: MapStart .. MapEnd with bracketed, ordered phases."""
     errors: list[str] = []
     if events[0][1] != "MapStart":
-        errors.append(f"{path}:{events[0][0]}: stream must open with MapStart")
+        errors.append(f"{path}:{events[0][0]}: run must open with MapStart")
     if events[-1][1] != "MapEnd":
-        errors.append(f"{path}:{events[-1][0]}: stream must close with MapEnd")
+        errors.append(f"{path}:{events[-1][0]}: run must close with MapEnd")
 
     mapper = events[0][2].get("mapper") if events[0][1] == "MapStart" else None
     map_ok = events[-1][2].get("ok") if events[-1][1] == "MapEnd" else None
@@ -152,6 +170,8 @@ def check_map_stream(path: pathlib.Path, events: list) -> list[str]:
     last_phase_index = -1
     workers: list = []  # (line, body) of ExactWorker events in the open span
     for i, tag, body in events:
+        if tag == "MapEnd" and i != events[-1][0]:
+            errors.append(f"{path}:{i}: MapEnd before the end of the run")
         if tag == "ExactWorker":
             if open_phase != "Exact":
                 errors.append(
@@ -393,7 +413,7 @@ def check_serve_stream(path: pathlib.Path, events: list) -> list[str]:
                 errors.append(f"{path}:{i}: nested MapStart inside request {open_req[1]}")
             segment.append((i, tag, body))
             if tag == "MapEnd":
-                errors.extend(check_map_stream(path, segment))
+                errors.extend(check_map_run(path, segment))
                 segment = []
     if open_req is not None:
         errors.append(f"{path}: request {open_req[1]} never closed")
