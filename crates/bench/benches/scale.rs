@@ -16,8 +16,7 @@
 //! plus `pt.objective <= sa.objective`.
 
 use emumap_core::{
-    AStarPruneConfig, Annealing, AnnealingConfig, MapCache, Mapper, ParallelTempering,
-    TemperingConfig,
+    Annealing, AnnealingConfig, MapCache, Mapper, ParallelTempering, TemperingConfig,
 };
 use emumap_graph::generators;
 use emumap_model::{
@@ -203,17 +202,9 @@ fn main() {
     // Equal total proposal budgets: SA burns the whole budget in one
     // chain; PT spreads it over a 4-rung ladder.
     let budget = if quick { 40_000 } else { 800_000 };
-    // Fat-trees have enormous loop-free path multiplicity inside the
-    // latency bound; the exhaustive widest-path search is intractable
-    // there, so the routing pass runs with Pareto dominance pruning on.
-    let astar = AStarPruneConfig {
-        prune_dominated: true,
-        ..Default::default()
-    };
     let sa = Annealing {
         config: AnnealingConfig {
             iterations: budget,
-            astar,
             ..Default::default()
         },
     };
@@ -228,7 +219,6 @@ fn main() {
             // barriers separating colocation basins.
             min_temperature_factor: 0.0005,
             max_temperature_factor: 0.5,
-            astar,
             ..Default::default()
         },
     };

@@ -82,13 +82,11 @@ fn main() {
     );
 
     // Fat-trees have enormous equal-cost path multiplicity: with every
-    // link at 1 Gbps the bottleneck metric gives A*Prune no guidance and
-    // the unpruned frontier grows exponentially, so Pareto dominance
-    // pruning is required (same as the scale bench). The expansion cap
-    // stays as a safety valve so one unlucky link cannot stall an
-    // admission.
+    // link at 1 Gbps the bottleneck metric gives A*Prune no guidance, and
+    // only its Pareto labels keep the frontier small (same as the scale
+    // bench). The expansion cap stays as a safety valve so one unlucky
+    // link cannot stall an admission.
     let mapper = Hmn::with_config(HmnConfig {
-        prune_dominated: true,
         max_expansions: 50_000,
         ..HmnConfig::default()
     });

@@ -21,6 +21,42 @@
 //!
 //! Partial paths are stored in an arena (parent-pointer tree) so expanding
 //! a path is O(1) in memory instead of cloning edge vectors.
+//!
+//! # Pareto labels
+//!
+//! Each node keeps the labels `(bottleneck, latency, hops)` of the partial
+//! paths pushed to it, and a candidate is dropped at push time when an
+//! earlier label `(b′, lat′, hops′)` at its node has `b′ ≥ b`,
+//! `lat′ ≤ lat` and `hops′ ≤ hops`. This returns exactly the path the
+//! exhaustive search over all loop-free partial paths returns, while
+//! expanding far fewer of them. The argument needs `lat ≥ 0` on every
+//! edge (rejected at load otherwise) and uses that f64 addition is
+//! monotone.
+//!
+//! Every child's `(b, −lat, −hops)` is strictly below its parent's, so
+//! both searches pop in one fixed order: by key, then by the order in
+//! which the parents popped, then by neighbor order. Pruning only removes
+//! candidates, so the survivors keep their relative order. Let `W` be the
+//! exhaustive winner and suppose a prefix `c` of it, at node `v`, is
+//! dropped for an earlier-pushed `c′`, which therefore precedes `c`. Let
+//! `S` be the rest of `W` from `v`. Then:
+//!
+//! * if `c′+S` is loop-free, it passes the same bandwidth and `ar[]` tests
+//!   and its key is at least `W`'s, with ties broken by `c′` preceding
+//!   `c`, so it pops before `W`;
+//! * if `c′+S` revisits a node of `c′`, cutting the loop at the last such
+//!   node gives a loop-free path that passes the same tests with strictly
+//!   fewer hops and no worse bottleneck or latency, which pops strictly
+//!   before `W` under both [`PathMetric`]s.
+//!
+//! Either way `W` would not be the exhaustive winner, so no prefix of it is
+//! ever dropped. The origin is seeded with the label `(∞, 0, 0)`. A partial
+//! path that revisits a node is then always dominated by its ancestor's
+//! label there, or by a label that dominates that one, so the labels also
+//! enforce Eq. 7 (loop-freedom) without walking the parent chain. The
+//! pruned search pops a subset of the exhaustive search's pops, so it
+//! never hits [`AStarPruneConfig::max_expansions`] where the exhaustive one
+//! did not; it may find a path where the exhaustive one gave up at the cap.
 
 use emumap_graph::{EdgeId, NodeId};
 use emumap_model::{Kbps, Millis, PhysicalTopology, ResidualState};
@@ -53,18 +89,6 @@ pub struct AStarPruneConfig {
     /// A safety valve against pathological exponential blow-ups in dense
     /// graphs; the paper's 40-host clusters stay far below it.
     pub max_expansions: usize,
-    /// Per-node Pareto dominance pruning (datacenter-scale accelerator):
-    /// drop a candidate reaching a node with `(bottleneck, latency, hops)`
-    /// all no better than a label already recorded there. On
-    /// high-multiplicity fabrics (fat-trees), where the exhaustive search
-    /// enumerates every loop-free path inside the latency bound, this keeps
-    /// the frontier near-linear in the node count. It is a heuristic: the
-    /// dominating label's extensions may be blocked by the loop check where
-    /// the dominated one's were not, so in adversarial topologies a feasible
-    /// path can be missed, and tie-breaking among equal-metric paths can
-    /// differ from the exhaustive order. Paper-faithful runs leave it off
-    /// (the default); the 10k-host scale bench switches it on.
-    pub prune_dominated: bool,
 }
 
 impl Default for AStarPruneConfig {
@@ -73,7 +97,6 @@ impl Default for AStarPruneConfig {
             metric: PathMetric::BottleneckBandwidth,
             use_latency_lower_bound: true,
             max_expansions: 1_000_000,
-            prune_dominated: false,
         }
     }
 }
@@ -86,8 +109,8 @@ pub struct SearchStats {
     pub expanded: usize,
     /// Partial paths pushed into the candidate set.
     pub pushed: usize,
-    /// Candidates dropped by Pareto dominance pruning (0 unless
-    /// [`AStarPruneConfig::prune_dominated`] is set).
+    /// Candidates dropped by a dominating label at their node, revisits
+    /// of a node already on the path included.
     pub dominated: usize,
 }
 
@@ -148,7 +171,7 @@ fn make_key(metric: PathMetric, bottleneck: f64, latency: f64, hops: u32, seq: u
 }
 
 /// Reusable buffers for [`astar_prune`]: the partial-path arena, the
-/// candidate heap, and the on-path scratch.
+/// candidate heap, and the per-node label store.
 ///
 /// One search of a paper-scale instance pushes thousands of arena nodes and
 /// heap candidates; a mapping routes thousands of links, so a fresh
@@ -160,9 +183,9 @@ fn make_key(metric: PathMetric, bottleneck: f64, latency: f64, hops: u32, seq: u
 pub struct RouteScratch {
     arena: Vec<PathNode>,
     heap: BinaryHeap<Candidate>,
-    on_path: Vec<NodeId>,
-    /// Per-node Pareto labels `(bottleneck, latency, hops)` for dominance
-    /// pruning; indexed by node, reset lazily via `touched`.
+    /// Per-node Pareto labels `(bottleneck, latency, hops)`; indexed by
+    /// node, reset lazily via `touched`, so a search clears only the
+    /// nodes it reached and the lists keep their capacity.
     labels: Vec<Vec<(f64, f64, u32)>>,
     touched: Vec<u32>,
     warm: bool,
@@ -189,12 +212,15 @@ impl RouteScratch {
         self.warm = true;
         self.arena.clear();
         self.heap.clear();
-        self.on_path.clear();
         for &t in &self.touched {
             self.labels[t as usize].clear();
         }
         self.touched.clear();
     }
+}
+
+fn node_u32(node: NodeId) -> u32 {
+    u32::try_from(node.index()).expect("node fits in u32")
 }
 
 /// Finds a path from `origin` to `destination` with residual bandwidth
@@ -243,14 +269,16 @@ pub fn astar_prune(
     let RouteScratch {
         arena,
         heap,
-        on_path,
         labels,
         touched,
         ..
     } = scratch;
-    if config.prune_dominated && labels.len() < csr.node_count() {
+    if labels.len() < csr.node_count() {
         labels.resize(csr.node_count(), Vec::new());
     }
+    // The origin's label dominates every path that returns to it.
+    labels[origin.index()].push((f64::INFINITY, 0.0, 0));
+    touched.push(node_u32(origin));
     arena.push(PathNode {
         parent: ROOT,
         edge: EdgeId::from_index(0),
@@ -284,24 +312,8 @@ pub fn astar_prune(
             return Some((edges, stats));
         }
 
-        // Collect the nodes already on this partial path (loop check,
-        // Eq. 7).
-        on_path.clear();
-        let mut cur = best.arena_index;
-        loop {
-            on_path.push(arena[cur as usize].end);
-            let p = arena[cur as usize].parent;
-            if p == ROOT {
-                break;
-            }
-            cur = p;
-        }
-
         for &nb in csr.neighbors(d) {
             let h = nb.node;
-            if on_path.contains(&h) {
-                continue;
-            }
             // Bandwidth pruning: "links whose available bandwidth are
             // smaller than the required bandwidth are also pruned."
             let avail = residual.bw(nb.edge).value();
@@ -321,21 +333,21 @@ pub fn astar_prune(
             }
             let bottleneck = best.bottleneck.min(avail);
             let hops = best.hops + 1;
-            if config.prune_dominated {
-                let slot = &mut labels[h.index()];
-                if slot
-                    .iter()
-                    .any(|&(b, l, k)| b >= bottleneck && l <= acc && k <= hops)
-                {
-                    stats.dominated += 1;
-                    continue;
-                }
-                if slot.is_empty() {
-                    touched.push(u32::try_from(h.index()).expect("node fits in u32"));
-                }
-                slot.retain(|&(b, l, k)| !(b <= bottleneck && l >= acc && k >= hops));
-                slot.push((bottleneck, acc, hops));
+            // Dominance (module docs): also rejects every revisit of a
+            // node already on the path (Eq. 7).
+            let slot = &mut labels[h.index()];
+            if slot
+                .iter()
+                .any(|&(b, l, k)| b >= bottleneck && l <= acc && k <= hops)
+            {
+                stats.dominated += 1;
+                continue;
             }
+            if slot.is_empty() {
+                touched.push(node_u32(h));
+            }
+            slot.retain(|&(b, l, k)| !(b <= bottleneck && l >= acc && k >= hops));
+            slot.push((bottleneck, acc, hops));
             let arena_index = u32::try_from(arena.len()).expect("arena fits in u32");
             arena.push(PathNode {
                 parent: best.arena_index,
@@ -357,7 +369,12 @@ pub fn astar_prune(
 }
 
 #[cfg(test)]
+#[path = "../tests/support/exhaustive_astar.rs"]
+mod exhaustive_astar;
+
+#[cfg(test)]
 mod tests {
+    use super::exhaustive_astar::{exhaustive_astar_prune, Exhaustive};
     use super::*;
     use emumap_graph::algo::dijkstra;
     use emumap_graph::generators;
@@ -733,22 +750,40 @@ mod tests {
         assert_eq!(a.map(|(p, _)| p), b.map(|(p, _)| p));
     }
 
-    /// Sum of link latencies and minimum residual bandwidth along a path.
-    fn path_cost(phys: &PhysicalTopology, residual: &ResidualState, path: &[EdgeId]) -> (f64, f64) {
-        let lat = path.iter().map(|&e| phys.link(e).lat.value()).sum();
-        let bw = path
-            .iter()
-            .map(|&e| residual.bw(e).value())
-            .fold(f64::INFINITY, f64::min);
-        (lat, bw)
+    /// The pruned search and the exhaustive reference on one query: the
+    /// same path (or the same `None`), and never more expansions.
+    fn assert_matches_reference(
+        phys: &PhysicalTopology,
+        residual: &ResidualState,
+        (from, to, demand, bound): (usize, usize, f64, f64),
+        scratch: &mut RouteScratch,
+    ) -> SearchStats {
+        let (origin, dest) = (phys.hosts()[from], phys.hosts()[to]);
+        let ar = ar_for(phys, dest);
+        let config = AStarPruneConfig::default();
+        let (demand, bound) = (Kbps(demand), Millis(bound));
+        let (reference, reference_expanded) =
+            exhaustive_astar_prune(phys, residual, origin, dest, demand, bound, &ar, &config);
+        let found = astar_prune(
+            phys, residual, origin, dest, demand, bound, &ar, &config, scratch,
+        );
+        let stats = found.as_ref().map(|(_, s)| *s).unwrap_or_default();
+        match (reference, found) {
+            (Exhaustive::Path(want), Some((got, stats))) => {
+                assert_eq!(got, want);
+                assert!(stats.expanded <= reference_expanded);
+            }
+            (Exhaustive::NoPath, None) => {}
+            (reference, found) => panic!("reference {reference:?}, pruned search {found:?}"),
+        }
+        stats
     }
 
     #[test]
     fn dominance_pruning_preserves_widest_bottleneck() {
         // A torus has many equal-latency alternates, the worst case for the
-        // exhaustive search. The pruned search must return a path with the
-        // same bottleneck bandwidth and latency while expanding fewer
-        // partial paths.
+        // exhaustive search: the labelled search must return the very same
+        // path while dropping dominated partial paths.
         let phys = PhysicalTopology::from_shape(
             &generators::torus2d(6, 6),
             std::iter::repeat(HostSpec::new(Mips(1000.0), MemMb(1024), StorGb(100.0))),
@@ -756,53 +791,17 @@ mod tests {
             VmmOverhead::NONE,
         );
         let residual = ResidualState::new(&phys);
-        let pruned_cfg = AStarPruneConfig {
-            prune_dominated: true,
-            ..Default::default()
-        };
-        let exhaustive_cfg = AStarPruneConfig::default();
         for (from, to, bound) in [(0usize, 21usize, 60.0), (3, 32, 75.0), (7, 28, 90.0)] {
-            let dest = phys.hosts()[to];
-            let ar = ar_for(&phys, dest);
-            let origin = phys.hosts()[from];
-            let (full, full_stats) = astar_prune(
-                &phys,
-                &residual,
-                origin,
-                dest,
-                Kbps(10.0),
-                Millis(bound),
-                &ar,
-                &exhaustive_cfg,
-                &mut RouteScratch::new(),
-            )
-            .expect("exhaustive search finds a path");
-            let (pruned, pruned_stats) = astar_prune(
-                &phys,
-                &residual,
-                origin,
-                dest,
-                Kbps(10.0),
-                Millis(bound),
-                &ar,
-                &pruned_cfg,
-                &mut RouteScratch::new(),
-            )
-            .expect("pruned search finds a path");
-            assert_eq!(
-                path_cost(&phys, &residual, &full),
-                path_cost(&phys, &residual, &pruned),
-            );
-            assert!(pruned_stats.expanded <= full_stats.expanded);
-            assert!(pruned_stats.dominated > 0, "torus must trigger pruning");
-            assert_eq!(full_stats.dominated, 0, "exhaustive mode never prunes");
+            let query = (from, to, 10.0, bound);
+            let stats = assert_matches_reference(&phys, &residual, query, &mut RouteScratch::new());
+            assert!(stats.dominated > 0, "torus must trigger pruning");
         }
     }
 
     #[test]
     fn dominance_pruning_scratch_reuse_is_pure() {
         // The per-node label store must reset between searches: a warm
-        // scratch has to reproduce the fresh-scratch result exactly.
+        // scratch has to reproduce the exhaustive result exactly.
         let phys = PhysicalTopology::from_shape(
             &generators::torus2d(5, 5),
             std::iter::repeat(HostSpec::new(Mips(1000.0), MemMb(1024), StorGb(100.0))),
@@ -810,38 +809,10 @@ mod tests {
             VmmOverhead::NONE,
         );
         let residual = ResidualState::new(&phys);
-        let cfg = AStarPruneConfig {
-            prune_dominated: true,
-            ..Default::default()
-        };
         let mut warm = RouteScratch::new();
         for (from, to, bound) in [(0usize, 12usize, 50.0), (4, 20, 60.0), (2, 17, 45.0)] {
-            let dest = phys.hosts()[to];
-            let ar = ar_for(&phys, dest);
-            let origin = phys.hosts()[from];
-            let fresh = astar_prune(
-                &phys,
-                &residual,
-                origin,
-                dest,
-                Kbps(5.0),
-                Millis(bound),
-                &ar,
-                &cfg,
-                &mut RouteScratch::new(),
-            );
-            let reused = astar_prune(
-                &phys,
-                &residual,
-                origin,
-                dest,
-                Kbps(5.0),
-                Millis(bound),
-                &ar,
-                &cfg,
-                &mut warm,
-            );
-            assert_eq!(fresh, reused);
+            assert_matches_reference(&phys, &residual, (from, to, 5.0, bound), &mut warm);
         }
+        assert_eq!(warm.reuses(), 2);
     }
 }

@@ -53,12 +53,6 @@ pub struct HmnConfig {
     pub use_latency_lower_bound: bool,
     /// Safety cap on A\*Prune expansions per link.
     pub max_expansions: usize,
-    /// Prune Pareto-dominated partial paths in A\*Prune. Off by default
-    /// (the paper keeps every partial path); essential on topologies with
-    /// massive equal-cost path multiplicity (fat-trees), where the
-    /// unpruned frontier grows exponentially and exhausts
-    /// `max_expansions` before any complete path pops.
-    pub prune_dominated: bool,
 }
 
 impl Default for HmnConfig {
@@ -71,7 +65,6 @@ impl Default for HmnConfig {
             path_metric: astar.metric,
             use_latency_lower_bound: astar.use_latency_lower_bound,
             max_expansions: astar.max_expansions,
-            prune_dominated: astar.prune_dominated,
         }
     }
 }
@@ -82,7 +75,6 @@ impl HmnConfig {
             metric: self.path_metric,
             use_latency_lower_bound: self.use_latency_lower_bound,
             max_expansions: self.max_expansions,
-            prune_dominated: self.prune_dominated,
         }
     }
 }
@@ -236,27 +228,6 @@ mod tests {
             .unwrap();
         assert_eq!(a.mapping, b.mapping, "HMN ignores the RNG");
         assert_eq!(a.objective, b.objective);
-    }
-
-    #[test]
-    fn prune_dominated_keeps_placement_and_validity() {
-        // Dominance pruning only discards partial paths that cannot win;
-        // the placement (fixed before Networking runs) is untouched and
-        // the routed mapping stays valid.
-        let phys = paper_like_phys();
-        let venv = small_venv(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
-        let baseline = Hmn::new()
-            .map(&phys, &venv, &mut SmallRng::seed_from_u64(1))
-            .unwrap();
-        let pruned = Hmn::with_config(HmnConfig {
-            prune_dominated: true,
-            ..Default::default()
-        })
-        .map(&phys, &venv, &mut SmallRng::seed_from_u64(1))
-        .unwrap();
-        assert_eq!(validate_mapping(&phys, &venv, &pruned.mapping), Ok(()));
-        assert_eq!(pruned.mapping.placement(), baseline.mapping.placement());
-        assert_eq!(pruned.objective, baseline.objective);
     }
 
     #[test]

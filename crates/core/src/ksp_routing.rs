@@ -16,7 +16,7 @@ use crate::cache::MapCache;
 use crate::error::MapError;
 use crate::hosting::{links_by_descending_bw, HostingPolicy};
 use crate::mapper::{MapOutcome, Mapper};
-use crate::migration::migration_stage;
+use crate::migration::MigrationPolicy;
 use crate::networking::NetworkingStats;
 use crate::recorder::RunRecorder;
 use crate::state::PlacementState;
@@ -61,8 +61,6 @@ pub fn networking_stage_ksp_with(
 
     let MapCache { topo, trace, .. } = cache;
     topo.prepare(phys);
-    let runs_before = topo.dijkstra_runs();
-    let hits_before = topo.hits();
 
     for &l in links {
         let (vs, vd) = venv.link_endpoints(l);
@@ -118,9 +116,6 @@ pub fn networking_stage_ksp_with(
         routes[l.index()] = Route::new(path.edges);
         stats.routed_links += 1;
     }
-
-    stats.dijkstra_runs = topo.dijkstra_runs() - runs_before;
-    stats.ar_cache_hits = topo.hits() - hits_before;
     Ok((routes, stats))
 }
 
@@ -163,12 +158,7 @@ impl Mapper for HmnKsp {
         let mut state = PlacementState::new(phys, venv);
         let mut run = RunRecorder::start(cache, "HMN-ksp", venv);
         run.hosting(&mut state, &links, HostingPolicy::Paper)?;
-        // This ablation reports only the Migration stage's moves.
-        run.phase(Phase::Migration, |_, c| {
-            let m = migration_stage(&mut state);
-            c.moves_accepted = m.migrations as u64;
-            c.moves_rejected = m.rejected as u64;
-        });
+        run.migration(&mut state, MigrationPolicy::Paper);
         let routes = run.phase(Phase::Networking, |cache, c| {
             let (routes, net) = networking_stage_ksp_with(&mut state, &links, self.k, cache)?;
             c.routed_links = net.routed_links as u64;

@@ -24,11 +24,6 @@ pub struct NetworkingStats {
     pub intra_host_links: usize,
     /// Aggregate A\*Prune search effort.
     pub search: SearchStats,
-    /// Dijkstra lower-bound tables computed (one per distinct destination
-    /// host not already cached).
-    pub dijkstra_runs: usize,
-    /// `ar[]` lookups answered from the cross-trial cache.
-    pub ar_cache_hits: usize,
 }
 
 /// Routes `links` (normally in descending-bandwidth order) over the
@@ -55,8 +50,9 @@ pub fn networking_stage(
 /// host to the link destination", and with thousands of links over 40
 /// hosts the cache collapses that cost to at most `hosts` runs — and,
 /// because the tables depend only on topology latencies, a warm cache
-/// carries them across trials on the same cluster, recording those
-/// lookups in [`NetworkingStats::ar_cache_hits`].
+/// carries them across trials on the same cluster. The tables computed
+/// and the lookups answered from the cache are counted by the cache
+/// itself; a mapper's Networking phase reports them.
 pub fn networking_stage_with(
     state: &mut PlacementState<'_>,
     links: &[VLinkId],
@@ -79,8 +75,6 @@ pub fn networking_stage_with(
         ..
     } = cache;
     topo.prepare(phys);
-    let runs_before = topo.dijkstra_runs();
-    let hits_before = topo.hits();
 
     for &l in links {
         let (vs, vd) = venv.link_endpoints(l);
@@ -128,9 +122,6 @@ pub fn networking_stage_with(
         routes[l.index()] = Route::new(edges);
         stats.routed_links += 1;
     }
-
-    stats.dijkstra_runs = topo.dijkstra_runs() - runs_before;
-    stats.ar_cache_hits = topo.hits() - hits_before;
     Ok((routes, stats))
 }
 
@@ -138,6 +129,8 @@ pub fn networking_stage_with(
 mod tests {
     use super::*;
     use crate::hosting::links_by_descending_bw;
+    use crate::mapper::MapStats;
+    use crate::recorder::RunRecorder;
     use emumap_graph::generators;
     use emumap_model::{
         validate_mapping, GuestId, GuestSpec, HostSpec, Kbps, LinkSpec, Mapping, MemMb, Millis,
@@ -155,6 +148,20 @@ mod tests {
 
     fn guest() -> GuestSpec {
         GuestSpec::new(Mips(10.0), MemMb(64), StorGb(1.0))
+    }
+
+    /// Routes `links` in a recorded Networking phase, as a mapper does;
+    /// the stats derive from the phase's counters.
+    fn recorded(
+        mut st: PlacementState<'_>,
+        links: &[VLinkId],
+        cache: &mut MapCache,
+    ) -> (Vec<Route>, MapStats) {
+        let (phys, venv) = (st.phys(), st.venv());
+        let mut run = RunRecorder::start(cache, "networking", venv);
+        let routes = run.networking(&mut st, links, &Default::default()).unwrap();
+        let mapping = Mapping::new(st.into_placement(), routes.clone());
+        (routes, run.finish(phys, venv, mapping, 1).stats)
     }
 
     #[test]
@@ -248,8 +255,7 @@ mod tests {
         for (i, &gg) in g.iter().enumerate() {
             st.assign(gg, phys.hosts()[i]).unwrap();
         }
-        let (_, stats) =
-            networking_stage(&mut st, &links_by_descending_bw(&venv), &Default::default()).unwrap();
+        let (_, stats) = recorded(st, &links_by_descending_bw(&venv), &mut MapCache::new());
         // Destination host is the same for all three links (undirected
         // edges: endpoint order from add_link is preserved, so hd is
         // guest 3's host every time).
@@ -275,19 +281,20 @@ mod tests {
         let mut cache = MapCache::new();
         let mut st = PlacementState::new(&phys, &venv);
         place(&mut st);
-        let (routes_cold, cold) =
-            networking_stage_with(&mut st, &links, &Default::default(), &mut cache).unwrap();
+        let (routes_cold, cold) = recorded(st, &links, &mut cache);
         assert_eq!(cold.dijkstra_runs, 1);
 
         // Second "trial" on the same topology: the ar[] table survives.
         let mut st = PlacementState::new(&phys, &venv);
         place(&mut st);
-        let (routes_warm, warm) =
-            networking_stage_with(&mut st, &links, &Default::default(), &mut cache).unwrap();
+        let (routes_warm, warm) = recorded(st, &links, &mut cache);
         assert_eq!(warm.dijkstra_runs, 0, "warm cache recomputes nothing");
         assert_eq!(warm.ar_cache_hits, 3);
         assert_eq!(routes_cold, routes_warm, "cache must not change routes");
-        assert_eq!(cold.search, warm.search);
+        assert_eq!(
+            (cold.astar_expansions, cold.astar_pushed),
+            (warm.astar_expansions, warm.astar_pushed)
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The physical environment: a cluster of workstations running VMMs,
 //! connected by an arbitrary network (paper §3.1).
 
-use crate::resources::{Kbps, MemMb, Millis, Mips, StorGb};
+use crate::resources::{check_links, Kbps, MemMb, Millis, Mips, StorGb};
 use emumap_graph::generators::{Role, Topology};
 use emumap_graph::{EdgeId, Graph, NodeId};
 use serde::{Deserialize, Serialize};
@@ -119,6 +119,8 @@ pub struct PhysicalTopology {
 // Manual impls rather than derive: `generation` is a process-local cache
 // key that must never hit the wire, and a deserialized topology must get
 // a fresh one. The field set matches the pre-generation wire format.
+// Loading rejects a link with a negative or NaN latency or a negative or
+// non-finite bandwidth.
 impl Serialize for PhysicalTopology {
     fn to_value(&self) -> serde::Value {
         serde::Value::Object(vec![
@@ -132,8 +134,13 @@ impl Serialize for PhysicalTopology {
 impl Deserialize for PhysicalTopology {
     fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
         let pairs = value.expect_object("PhysicalTopology")?;
+        let graph: Graph<PhysNode, LinkSpec> = serde::__field(pairs, "graph", "PhysicalTopology")?;
+        check_links(
+            "PhysicalTopology",
+            graph.edges().map(|e| (e.weight.bw, e.weight.lat)),
+        )?;
         Ok(PhysicalTopology {
-            graph: serde::__field(pairs, "graph", "PhysicalTopology")?,
+            graph,
             hosts: serde::__field(pairs, "hosts", "PhysicalTopology")?,
             vmm: serde::__field(pairs, "vmm", "PhysicalTopology")?,
             generation: fresh_generation(),

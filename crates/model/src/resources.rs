@@ -168,6 +168,30 @@ impl Kbps {
     pub const INFINITE: Kbps = Kbps(f64::INFINITY);
 }
 
+/// Rejects the first link, in edge order, whose latency is negative or NaN
+/// or whose bandwidth is negative or not finite, naming its field
+/// (`PhysicalTopology.graph: edges[3].lat: -1.000 ms is negative or
+/// NaN`). `ctx` names the type being loaded. Routing needs `lat >= 0`: A\*Prune's Pareto labels
+/// return the exhaustive search's path only on non-negative latencies.
+pub(crate) fn check_links(
+    ctx: &str,
+    links: impl Iterator<Item = (Kbps, Millis)>,
+) -> Result<(), serde::DeError> {
+    for (i, (bw, lat)) in links.enumerate() {
+        let field = if lat.value().is_nan() || lat.value() < 0.0 {
+            format!("lat: {lat} is negative or NaN")
+        } else if !bw.is_finite() || bw.value() < 0.0 {
+            format!("bw: {bw} is negative or not finite")
+        } else {
+            continue;
+        };
+        return Err(serde::DeError::new(format!(
+            "{ctx}.graph: edges[{i}].{field}"
+        )));
+    }
+    Ok(())
+}
+
 /// Memory in megabytes. The paper types memory as a natural number, so this
 /// is integer-backed; 1 MB granularity covers Table 1's 19 MB–3 GB range.
 #[derive(

@@ -1,7 +1,7 @@
 //! The virtual environment: the distributed system the tester wants to
 //! emulate (paper §3.1–3.2, graph `v = (V, E_v)`).
 
-use crate::resources::{Kbps, MemMb, Millis, Mips};
+use crate::resources::{check_links, Kbps, MemMb, Millis, Mips};
 use crate::StorGb;
 use emumap_graph::{EdgeId, Graph, NodeId};
 use serde::{Deserialize, Serialize};
@@ -50,9 +50,24 @@ pub type VLinkId = EdgeId;
 
 /// The virtual environment `v = (V, E_v)`: guests and the virtual links
 /// between them.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct VirtualEnvironment {
     graph: Graph<GuestSpec, VLinkSpec>,
+}
+
+/// Rejects a virtual link with a negative or NaN latency bound or a
+/// negative or non-finite bandwidth demand.
+impl Deserialize for VirtualEnvironment {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        let pairs = value.expect_object("VirtualEnvironment")?;
+        let graph: Graph<GuestSpec, VLinkSpec> =
+            serde::__field(pairs, "graph", "VirtualEnvironment")?;
+        check_links(
+            "VirtualEnvironment",
+            graph.edges().map(|e| (e.weight.bw, e.weight.lat)),
+        )?;
+        Ok(VirtualEnvironment { graph })
+    }
 }
 
 impl VirtualEnvironment {

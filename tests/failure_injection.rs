@@ -334,3 +334,80 @@ fn dropped_adjacency_entry_maps_the_graph_the_edges_describe() {
     guest4.pop();
     assert_eq!(map_and_exact(&dir, &phys, &old), clean);
 }
+
+/// Writes `phys` and `venv`, runs `map` and `exact` on them and returns
+/// each one's error message; both must fail.
+fn load_errors(dir: &std::path::Path, phys: &serde::Value, venv: &serde::Value) -> Vec<String> {
+    let (phys_path, venv_path) = (dir.join("phys.json"), dir.join("venv.json"));
+    std::fs::write(&phys_path, serde_json::to_string_pretty(phys).unwrap()).unwrap();
+    std::fs::write(&venv_path, serde_json::to_string_pretty(venv).unwrap()).unwrap();
+    let (phys_path, venv_path) = (phys_path.to_str().unwrap(), venv_path.to_str().unwrap());
+    ["map", "exact"]
+        .iter()
+        .map(|cmd| {
+            cli(&[cmd, "--phys", phys_path, "--venv", venv_path])
+                .expect_err("an invalid link spec must be rejected on load")
+        })
+        .collect()
+}
+
+/// Sets `field` of edge 1 of the phys file (`venv` false) or of the venv
+/// file to each of `values`, and checks that `map` and `exact` reject the
+/// instance with an error naming that field.
+fn assert_link_field_rejected(test: &str, venv: bool, field_name: &str, values: &[serde::Value]) {
+    let dir = scratch_dir(test);
+    let (phys_path, clean_venv) = ring_instance(&dir);
+    let clean_phys = std::fs::read_to_string(&phys_path).unwrap();
+    let clean_phys = serde_json::value_from_str(&clean_phys).unwrap();
+    let (ty, unit) = if venv {
+        ("VirtualEnvironment", clean_venv.clone())
+    } else {
+        ("PhysicalTopology", clean_phys.clone())
+    };
+    for value in values {
+        let mut bad = unit.clone();
+        let edges = field(field(&mut bad, "graph"), "edges");
+        *field(field(item(edges, 1), "weight"), field_name) = value.clone();
+        let (phys, venv_value) = if venv {
+            (clean_phys.clone(), bad)
+        } else {
+            (bad, clean_venv.clone())
+        };
+        for err in load_errors(&dir, &phys, &venv_value) {
+            let expected = format!("{ty}.graph: edges[1].{field_name}: ");
+            assert!(err.contains(&expected), "{value:?}: {err}");
+        }
+    }
+}
+
+#[test]
+fn negative_or_nan_physical_latency_is_a_typed_cli_error() {
+    let values = [serde::Value::F64(-1.0), serde::Value::Str("NaN".into())];
+    assert_link_field_rejected("bad-phys-lat", false, "lat", &values);
+}
+
+#[test]
+fn negative_or_non_finite_physical_bandwidth_is_a_typed_cli_error() {
+    let values = [
+        serde::Value::F64(-5.0),
+        serde::Value::Str("Infinity".into()),
+        serde::Value::Str("NaN".into()),
+    ];
+    assert_link_field_rejected("bad-phys-bw", false, "bw", &values);
+}
+
+#[test]
+fn negative_or_nan_virtual_latency_is_a_typed_cli_error() {
+    let values = [serde::Value::F64(-0.5), serde::Value::Str("NaN".into())];
+    assert_link_field_rejected("bad-venv-lat", true, "lat", &values);
+}
+
+#[test]
+fn negative_or_non_finite_virtual_bandwidth_is_a_typed_cli_error() {
+    let values = [
+        serde::Value::F64(-100.0),
+        serde::Value::Str("-Infinity".into()),
+        serde::Value::Str("NaN".into()),
+    ];
+    assert_link_field_rejected("bad-venv-bw", true, "bw", &values);
+}

@@ -2,13 +2,16 @@
 //! warm, reused scratch buffer must be *observably identical* to the same
 //! search on a fresh one, on arbitrary random topologies. This is the
 //! contract that lets the mappers keep one scratch per worker without
-//! perturbing any RNG stream or mapping result.
+//! perturbing any RNG stream or mapping result. A\*Prune's Pareto-label
+//! search must also return exactly the path of the exhaustive search it
+//! replaced.
 
 use emumap::graph::algo::dijkstra;
+use emumap::graph::generators::Role;
 use emumap::graph::{generators, EdgeId, Graph, NodeId};
 use emumap::mapping::{
-    astar_prune, hop_distances, naive_dfs_route, AStarPruneConfig, DfsScratch, RouteScratch,
-    SearchStats,
+    astar_prune, hop_distances, naive_dfs_route, AStarPruneConfig, DfsScratch, PathMetric,
+    RouteScratch, SearchStats,
 };
 use emumap::model::{
     HostSpec, Kbps, LinkSpec, MemMb, Millis, Mips, PhysNode, PhysicalTopology, ResidualState,
@@ -17,6 +20,10 @@ use emumap::model::{
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
+
+#[path = "../crates/core/tests/support/exhaustive_astar.rs"]
+mod exhaustive_astar;
+use exhaustive_astar::{exhaustive_astar_prune, Exhaustive};
 
 /// A random connected cluster with heterogeneous link bandwidths and
 /// latencies (uniform links would make most equivalence checks vacuous —
@@ -123,6 +130,112 @@ fn astar_fresh_and_warm(phys: &PhysicalTopology, seed: u64) -> (AStarRuns, AStar
     (fresh, warm)
 }
 
+/// A cluster with discrete link specs, so that many paths tie: bandwidths
+/// of 100-500 kbps and latencies of 0-4 ms, both whole numbers. The shape
+/// is a random connected graph, a torus, a ring or a `fat_tree(4)`, whose
+/// switches forward but host nothing. Part of every link's bandwidth is
+/// already committed. Pure function of the inputs.
+fn build_discrete_cluster(
+    shape_ix: usize,
+    hosts: usize,
+    density: f64,
+    seed: u64,
+) -> (PhysicalTopology, ResidualState) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let shape = match shape_ix {
+        0 => generators::random_connected(hosts, density, &mut rng),
+        1 => generators::torus2d(3, hosts.div_ceil(3).max(3)),
+        2 => generators::ring(hosts),
+        _ => generators::fat_tree(4),
+    };
+    let mut g: Graph<PhysNode, LinkSpec> = Graph::with_capacity(shape.node_count(), 0);
+    for (_, role) in shape.nodes() {
+        g.add_node(match role {
+            Role::Host => PhysNode::Host(HostSpec::new(
+                Mips(2000.0),
+                MemMb::from_gb(2),
+                StorGb(500.0),
+            )),
+            Role::Switch => PhysNode::Switch,
+        });
+    }
+    for e in shape.edges() {
+        let bw = Kbps(f64::from(rng.gen_range(1..=5u32) * 100));
+        let lat = Millis(f64::from(rng.gen_range(0..=4u32)));
+        g.add_edge(e.a, e.b, LinkSpec::new(bw, lat));
+    }
+    let phys = PhysicalTopology::from_graph(g, VmmOverhead::NONE);
+    let mut residual = ResidualState::new(&phys);
+    for e in phys.graph().edge_ids() {
+        let committed = rng.gen_range(0..=phys.link(e).bw.value() as u32 / 100) * 50;
+        residual.commit_route(&[e], Kbps(f64::from(committed)));
+    }
+    (phys, residual)
+}
+
+fn arb_discrete_cluster() -> impl Strategy<Value = ((PhysicalTopology, ResidualState), u64)> {
+    (0usize..4, 3usize..16, 0.0f64..0.6, any::<u64>()).prop_map(|(shape, hosts, density, seed)| {
+        (build_discrete_cluster(shape, hosts, density, seed), seed)
+    })
+}
+
+/// Runs eight random queries under both metrics, with and without the
+/// `ar[]` bound, through the Pareto-label search (one warm scratch) and the
+/// exhaustive reference, and describes every query where they differ.
+/// Queries where the reference hits its expansion cap are skipped.
+fn reference_mismatches(
+    (phys, residual): &(PhysicalTopology, ResidualState),
+    seed: u64,
+) -> Vec<String> {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xe4a5);
+    let mut scratch = RouteScratch::new();
+    let mut mismatches = Vec::new();
+    for trial in 0..8u64 {
+        let (origin, dest) = pick_pair(phys, seed ^ trial);
+        let ar = dijkstra(phys.graph(), dest, |_, l| l.lat.value())
+            .distances()
+            .to_vec();
+        let demand = Kbps(f64::from(rng.gen_range(1..=4u32) * 50));
+        let bound = Millis(f64::from(rng.gen_range(0..=14u32)));
+        for metric in [PathMetric::BottleneckBandwidth, PathMetric::HopCount] {
+            for use_latency_lower_bound in [true, false] {
+                let config = AStarPruneConfig {
+                    metric,
+                    use_latency_lower_bound,
+                    max_expansions: 20_000,
+                };
+                let (reference, _) = exhaustive_astar_prune(
+                    phys, residual, origin, dest, demand, bound, &ar, &config,
+                );
+                let found = astar_prune(
+                    phys,
+                    residual,
+                    origin,
+                    dest,
+                    demand,
+                    bound,
+                    &ar,
+                    &config,
+                    &mut scratch,
+                )
+                .map(|(path, _)| path);
+                let agree = match &reference {
+                    Exhaustive::Path(path) => found.as_ref() == Some(path),
+                    Exhaustive::NoPath => found.is_none(),
+                    Exhaustive::Capped => true,
+                };
+                if !agree {
+                    mismatches.push(format!(
+                        "{origin}->{dest} demand {demand} bound {bound} {config:?}: \
+                         reference {reference:?}, search {found:?}"
+                    ));
+                }
+            }
+        }
+    }
+    mismatches
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -145,32 +258,12 @@ proptest! {
         prop_assert_eq!(fresh, warm);
     }
 
-    /// Dominance pruning is a heuristic (it may tie-break differently),
-    /// but any path it returns must satisfy the same feasibility
-    /// contract as the exhaustive search: demand fits every edge and the
-    /// latency bound holds.
+    /// The Pareto-label search returns exactly the exhaustive search's
+    /// path, or its `None`, on every query it answers under the cap.
     #[test]
-    fn dominance_pruned_paths_are_feasible((phys, seed) in arb_cluster()) {
-        let residual = ResidualState::new(&phys);
-        let (origin, dest) = pick_pair(&phys, seed);
-        let ar = dijkstra(phys.graph(), dest, |_, l| l.lat.value())
-            .distances()
-            .to_vec();
-        let config = AStarPruneConfig {
-            prune_dominated: true,
-            ..Default::default()
-        };
-        let demand = Kbps(150.0);
-        let bound = Millis(45.0);
-        if let Some((path, stats)) = astar_prune(
-            &phys, &residual, origin, dest, demand, bound, &ar, &config, &mut RouteScratch::new(),
-        ) {
-            let lat: f64 = path.iter().map(|&e| phys.link(e).lat.value()).sum();
-            prop_assert!(lat <= bound.value() + 1e-9);
-            for &e in &path {
-                prop_assert!(residual.bw(e).value() >= demand.value());
-            }
-            prop_assert!(stats.expanded > 0);
+    fn astar_prune_matches_exhaustive_reference((phys, seed) in arb_discrete_cluster()) {
+        for mismatch in reference_mismatches(&phys, seed) {
+            prop_assert!(false, "{}", mismatch);
         }
     }
 }
@@ -200,15 +293,20 @@ fn regression_seeds_replay() {
             .unwrap_or_else(|e| panic!("bad seed {seed_tok}: {e}"));
 
         let mut rng = SmallRng::seed_from_u64(seed);
-        let (phys, s) = arb_cluster().generate(&mut rng);
         match name {
             "dfs_route_scratch_matches_fresh" => {
+                let (phys, s) = arb_cluster().generate(&mut rng);
                 let (fresh, warm) = dfs_fresh_and_warm(&phys, s);
                 assert_eq!(fresh, warm);
             }
             "astar_prune_csr_scratch_matches_fresh" => {
+                let (phys, s) = arb_cluster().generate(&mut rng);
                 let (fresh, warm) = astar_fresh_and_warm(&phys, s);
                 assert_eq!(fresh, warm);
+            }
+            "astar_prune_matches_exhaustive_reference" => {
+                let (phys, s) = arb_discrete_cluster().generate(&mut rng);
+                assert_eq!(reference_mismatches(&phys, s), Vec::<String>::new());
             }
             other => panic!("regression file pins unknown test '{other}'"),
         }

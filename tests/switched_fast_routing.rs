@@ -66,11 +66,9 @@ fn switched_mapping_is_sub_second_even_at_50_to_1() {
 fn switched_dijkstra_cache_needs_at_most_one_run_per_destination_host() {
     // The A*Prune ar[] tables are cached per destination; on a 40-host
     // cluster the Networking stage can never run Dijkstra more than 40
-    // times however many links it routes.
-    use emumap::mapping::hosting::links_by_descending_bw;
-    use emumap::mapping::networking::networking_stage;
-    use emumap::mapping::{hosting::hosting_stage, PlacementState};
-
+    // times however many links it routes. HMN's Hosting and Migration
+    // phases compute no tables, so the run's counters, summed from its
+    // phases, are the Networking phase's.
     let cluster = ClusterSpec::paper();
     let scenario = Scenario {
         ratio: 30.0,
@@ -78,10 +76,12 @@ fn switched_dijkstra_cache_needs_at_most_one_run_per_destination_host() {
         workload: WorkloadKind::LowLevel,
     };
     let inst = instantiate(&cluster, ClusterSpec::paper_switched(), &scenario, 0, 5);
-    let links = links_by_descending_bw(&inst.venv);
-    let mut st = PlacementState::new(&inst.phys, &inst.venv);
-    hosting_stage(&mut st, &links).expect("hostable");
-    let (_, stats) = networking_stage(&mut st, &links, &Default::default()).expect("routable");
+    let mut rng = SmallRng::seed_from_u64(inst.mapper_seed);
+    let stats = Hmn::new()
+        .map(&inst.phys, &inst.venv, &mut rng)
+        .expect("maps")
+        .stats;
+    assert!(stats.dijkstra_runs > 0, "a cold run computes tables");
     assert!(stats.dijkstra_runs <= inst.phys.host_count());
     assert!(
         stats.routed_links > stats.dijkstra_runs,
